@@ -68,8 +68,7 @@ def signed_sqrt_backward(dout, v):
 
 def l2_normalize(v):
     """v / max(||v||_2, eps); the zero vector maps to itself."""
-    v = np.asarray(v, dtype=FLOAT)
-    return v / max(float(np.linalg.norm(v)), L2_NORM_EPS)
+    return l2_normalize_batch(np.asarray(v)[None])[0][0]
 
 
 def l2_normalize_batch(v):

@@ -14,9 +14,8 @@ configuration beside its outputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +34,7 @@ from .model import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from .train import HISTORY_COLUMNS, FoldData, score_fold, train
-
-
-def _atomic_write(path: Path, data):
-    tmp = path.parent / (path.name + ".tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    os.replace(tmp, path)
+from .train import HISTORY_COLUMNS, STRATEGIES, FoldData, score_fold, train
 
 
 # ---------------------------------------------------------------------------
@@ -71,70 +61,15 @@ class ExperimentConfig:
     def validate(self):
         if self.model not in ("two_stream", "baseline"):
             raise ConfigError(f"model must be two_stream or baseline, got {self.model!r}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}; choose one of {STRATEGIES}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if not self.conv_blocks:
+            raise ConfigError("conv_blocks needs at least one block")
         if not self.dataset or not self.out_dir:
             raise ConfigError("config needs both dataset and out_dir")
         return self
-
-
-_INT_KEYS = {"epochs", "batch_size", "seed", "crop_size", "proj_width"}
-_FLOAT_KEYS = {"learning_rate", "alpha", "beta", "dropout_rate"}
-_STR_KEYS = {"dataset", "model", "strategy", "out_dir"}
-
-
-def parse_experiment_config(text: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    overrides = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        try:
-            if key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key in _STR_KEYS:
-                overrides[key] = value
-            elif key == "conv_blocks":
-                blocks = []
-                for item in value.split(","):
-                    out_ch, kernel, pool = item.strip().split(":")
-                    blocks.append((int(out_ch), int(kernel), bool(int(pool))))
-                overrides[key] = tuple(blocks)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: cannot parse {key!r}: {exc}") from exc
-    return replace(cfg, **overrides).validate()
-
-
-def format_experiment_config(cfg: ExperimentConfig) -> str:
-    blocks = ", ".join(f"{o}:{k}:{int(p)}" for o, k, p in cfg.conv_blocks)
-    lines = [
-        f"dataset = {cfg.dataset}",
-        f"model = {cfg.model}",
-        f"strategy = {cfg.strategy}",
-        f"epochs = {cfg.epochs}",
-        f"batch_size = {cfg.batch_size}",
-        f"learning_rate = {cfg.learning_rate!r}",
-        f"alpha = {cfg.alpha!r}",
-        f"beta = {cfg.beta!r}",
-        f"seed = {cfg.seed}",
-        f"crop_size = {cfg.crop_size}",
-        f"conv_blocks = {blocks}",
-        f"proj_width = {cfg.proj_width}",
-        f"dropout_rate = {cfg.dropout_rate!r}",
-        f"out_dir = {cfg.out_dir}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def load_folds(data_dir):
@@ -153,11 +88,11 @@ def load_folds(data_dir):
     return folds, data.class_names
 
 
-def build_model_from_config(cfg: ExperimentConfig, num_classes: int):
+def build_model_from_config(cfg: ExperimentConfig, num_classes: int, input_channels: int):
     model_cfg = ModelConfig(
         num_classes=num_classes,
         input_size=(cfg.crop_size, cfg.crop_size),
-        backbone=BackboneConfig(input_channels=1, conv_blocks=cfg.conv_blocks),
+        backbone=BackboneConfig(input_channels=input_channels, conv_blocks=cfg.conv_blocks),
         proj_width=cfg.proj_width,
         dropout_rate=cfg.dropout_rate,
     )
@@ -171,22 +106,22 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    spec = ds.parse_generator_spec(Path(args.spec).read_text())
+    spec = ds.parse_fields(ds.GeneratorSpec, Path(args.spec).read_text())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = ds.generate(spec)
     ds.save(data, out_dir)
     folds = ds.split(data, ds.SplitSpec(seed=spec.seed))
     ds.save_splits(folds, out_dir / "splits.json")
-    _atomic_write(out_dir / "manifest.txt", ds.format_generator_spec(spec))
+    ds.write_atomic(out_dir / "manifest.txt", ds.format_fields(spec))
     print(f"wrote {len(data)} samples to {out_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = parse_experiment_config(Path(args.config).read_text())
+    cfg = ds.parse_fields(ExperimentConfig, Path(args.config).read_text())
     folds, class_names = load_folds(cfg.dataset)
-    model = build_model_from_config(cfg, len(class_names))
+    model = build_model_from_config(cfg, len(class_names), folds["train"].images.shape[1])
     history = train(
         model,
         folds["train"],
@@ -200,13 +135,11 @@ def cmd_train(args) -> int:
     )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / "model.ckpt.tmp"
-    save_checkpoint(model, tmp)
-    os.replace(tmp, out_dir / "model.ckpt")
+    save_checkpoint(model, out_dir / "model.ckpt")
     rows = [",".join(HISTORY_COLUMNS)]
     rows += [",".join(str(v) for v in stats.row()) for stats in history]
-    _atomic_write(out_dir / "history.csv", "\n".join(rows) + "\n")
-    _atomic_write(out_dir / "resolved_config.txt", format_experiment_config(cfg))
+    ds.write_atomic(out_dir / "history.csv", "\n".join(rows) + "\n")
+    ds.write_atomic(out_dir / "resolved_config.txt", ds.format_fields(cfg))
     print(f"trained {cfg.model} ({cfg.strategy}) for {cfg.epochs} epochs -> {out_dir}")
     return 0
 
@@ -229,12 +162,12 @@ def cmd_eval(args) -> int:
     report = build_report(ScoreMatrix(chosen, fold.labels.astype(np.int8), class_names))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, report.to_json() + "\n")
+    ds.write_atomic(out, report.to_json() + "\n")
     resolved = (
         f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
         f"split = {args.split}\nhead = {args.head}\nout = {args.out}\n"
     )
-    _atomic_write(out.parent / (out.name + ".config.txt"), resolved)
+    ds.write_atomic(out.parent / (out.name + ".config.txt"), resolved)
     macro = "nan" if report.macro_auc is None else f"{report.macro_auc:.4f}"
     print(f"{args.split} macro AUC ({args.head} head): {macro} -> {out}")
     return 0

@@ -23,7 +23,8 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -70,6 +71,8 @@ class GeneratorSpec:
                 raise ConfigError(f"co-occurrence pair ({a}, {b}) out of class range")
             if boost < 0 or self.class_prevalence[b] + boost > 1.0:
                 raise ConfigError(f"boost {boost} pushes class {b} probability above 1")
+        if len(self.image_size) != 2:
+            raise ConfigError(f"image_size needs two values, got {self.image_size}")
         if min(self.image_size) < 8 or self.channels < 1:
             raise ConfigError(f"image_size {self.image_size} x {self.channels} too small")
         return self
@@ -242,17 +245,7 @@ def normalize(images_by_fold: dict, train_fold: str = "train"):
 
 def random_crop(image, out_size, training, seed=0):
     """Crop one (channels, H, W) image: random offset in training, center in eval."""
-    image = np.asarray(image)
-    h, w = image.shape[-2:]
-    if out_size > h or out_size > w:
-        raise DimensionError(f"crop size {out_size} exceeds image {h}x{w}")
-    if training:
-        rng = np.random.default_rng(seed)
-        top = int(rng.integers(0, h - out_size + 1))
-        left = int(rng.integers(0, w - out_size + 1))
-    else:
-        top, left = (h - out_size) // 2, (w - out_size) // 2
-    return image[..., top : top + out_size, left : left + out_size]
+    return crop_batch(np.asarray(image)[None], out_size, training, np.random.default_rng(seed))[0]
 
 
 def crop_batch(images, out_size, training, rng=None):
@@ -278,38 +271,44 @@ def crop_batch(images, out_size, training, rng=None):
 # storage
 # ---------------------------------------------------------------------------
 
-def _write_atomic(path, data):
+def write_atomic(path, data):
+    """Write bytes or text to ``path`` through ``<name>.tmp`` and a rename.
+
+    Readers see the old file or the new one, never a partial write. If the
+    write or the rename fails, the temp file is removed and the error re-raised.
+    """
+    path = Path(path)
     tmp = path.parent / (path.name + ".tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    os.replace(tmp, path)
+    try:
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save(dataset: Dataset, directory):
     """Write images.bin and labels.csv under ``directory`` (temp + rename)."""
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     n, channels, h, w = dataset.images.shape
     payload = MAGIC + struct.pack("<4I", n, channels, h, w)
     payload += dataset.images.astype("<f4").tobytes()
-    _write_atomic(directory / "images.bin", payload)
+    write_atomic(directory / "images.bin", payload)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["sample_id", "group_id", *dataset.class_names])
     for i in range(n):
         writer.writerow([i, int(dataset.group_ids[i]), *map(int, dataset.labels[i])])
-    _write_atomic(directory / "labels.csv", buf.getvalue())
+    write_atomic(directory / "labels.csv", buf.getvalue())
 
 
 def load(directory) -> Dataset:
     """Read a dataset back; raises FormatError with a byte offset on corruption."""
-    from pathlib import Path
-
     directory = Path(directory)
     raw = (directory / "images.bin").read_bytes()
     if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
@@ -350,34 +349,27 @@ def load(directory) -> Dataset:
 
 def save_splits(folds: dict, path):
     payload = {name: np.asarray(idx).tolist() for name, idx in folds.items()}
-    from pathlib import Path
-
-    _write_atomic(Path(path), json.dumps(payload, indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_splits(path):
-    from pathlib import Path
-
     payload = json.loads(Path(path).read_text())
     return {name: np.asarray(idx, dtype=np.int64) for name, idx in payload.items()}
 
 
 # ---------------------------------------------------------------------------
-# generator spec files (key = value, lists comma-separated)
+# key = value files (generator specs, experiment configs)
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"class_prevalence", "cooccurrence_pairs", "image_size"}
-_INT_KEYS = {"num_classes", "num_samples", "num_groups", "channels", "seed"}
-_FLOAT_KEYS = {"normal_fraction", "noise_sigma"}
+def parse_fields(cls, text: str):
+    """Parse ``key = value`` lines into the dataclass ``cls`` and validate it.
 
-
-def parse_generator_spec(text: str) -> GeneratorSpec:
-    """Parse a ``key = value`` spec file into a GeneratorSpec.
-
-    Missing keys keep their defaults. Errors carry the 1-based line number.
-    Co-occurrence triples are written ``a:b:boost`` and comma separated.
+    Every field is a key; missing keys keep their defaults, and each value is
+    parsed like its field's default. Lists are comma-separated and the items
+    of a tuple colon-joined (``0:1:0.2``); a bool is written 0 or 1. ``#``
+    starts a comment. Parse errors carry the 1-based line number.
     """
-    spec = GeneratorSpec()
+    defaults = {f.name: f.default for f in fields(cls)}
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -387,52 +379,39 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in defaults:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key == "image_size":
-                parts = [int(v) for v in value.split(",")]
-                if len(parts) != 2:
-                    raise ValueError("image_size needs two values")
-                overrides[key] = (parts[0], parts[1])
-            elif key == "class_prevalence":
-                overrides[key] = tuple(float(v) for v in value.split(","))
-            elif key == "cooccurrence_pairs":
-                pairs = []
-                if value:
-                    for item in value.split(","):
-                        a, b, boost = item.strip().split(":")
-                        pairs.append((int(a), int(b), float(boost)))
-                overrides[key] = tuple(pairs)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            overrides[key] = _parse_value(value, defaults[key])
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse {key!r}: {exc}") from exc
-    spec = replace(spec, **overrides)
-    try:
-        spec.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"spec invalid: {exc}") from exc
-    return spec
+    return cls(**overrides).validate()
 
 
-def format_generator_spec(spec: GeneratorSpec) -> str:
-    """Render a spec in the same key = value syntax the parser accepts."""
-    pairs = ", ".join(f"{a}:{b}:{boost}" for a, b, boost in spec.cooccurrence_pairs)
-    lines = [
-        f"num_classes = {spec.num_classes}",
-        f"num_samples = {spec.num_samples}",
-        f"num_groups = {spec.num_groups}",
-        f"image_size = {spec.image_size[0]}, {spec.image_size[1]}",
-        f"channels = {spec.channels}",
-        "class_prevalence = " + ", ".join(repr(p) for p in spec.class_prevalence),
-        f"cooccurrence_pairs = {pairs}",
-        f"normal_fraction = {spec.normal_fraction!r}",
-        f"noise_sigma = {spec.noise_sigma!r}",
-        f"seed = {spec.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+def _parse_value(text, like):
+    if isinstance(like, tuple):
+        items = [item.strip() for item in text.split(",")] if text else []
+        return tuple(_parse_item(item, like[0]) for item in items)
+    if isinstance(like, bool):
+        return bool(int(text))
+    return type(like)(text)
+
+
+def _parse_item(text, like):
+    if not isinstance(like, tuple):
+        return _parse_value(text, like)
+    parts = text.split(":")
+    if len(parts) != len(like):
+        raise ValueError(f"{text!r} needs {len(like)} ':'-separated parts")
+    return tuple(_parse_value(part.strip(), part_like) for part, part_like in zip(parts, like))
+
+
+def format_fields(obj) -> str:
+    """Render a dataclass in the ``key = value`` syntax ``parse_fields`` reads."""
+    return "".join(f"{f.name} = {_format_value(getattr(obj, f.name))}\n" for f in fields(obj))
+
+
+def _format_value(value, sep=", "):
+    if isinstance(value, tuple):
+        return sep.join(_format_value(item, ":") for item in value)
+    return str(int(value)) if isinstance(value, bool) else str(value)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .ops import sigmoid
 
 FLOAT = np.float64
 
@@ -51,12 +52,8 @@ def sigmoid_bce(logits, labels):
     saturated sigmoid never reaches log(). Returns (loss, grad) with
     grad[c] = z_c - y_c.
     """
-    x, y = _check_pair(logits, labels)
-    y = y.astype(FLOAT)
-    loss = float(np.sum(np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))))
-    e = np.exp(-np.abs(x))
-    z = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return loss, z - y
+    loss, grad = sigmoid_bce_batch(np.asarray(logits)[None], np.asarray(labels)[None])
+    return loss, grad[0]
 
 
 def msml(logits, labels):
@@ -105,9 +102,7 @@ def sigmoid_bce_batch(logits, labels):
     y = y.astype(FLOAT)
     n = x.shape[0]
     loss = float(np.sum(np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x))))) / n
-    e = np.exp(-np.abs(x))
-    z = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return loss, (z - y) / n
+    return loss, (sigmoid(x) - y) / n
 
 
 def msml_batch(logits, labels):

@@ -133,7 +133,10 @@ def per_class_auc(sm: ScoreMatrix):
 
 def macro_auc(sm: ScoreMatrix):
     """Unweighted mean of the defined per-class AUCs."""
-    values, _ = per_class_auc(sm)
+    return _mean_defined(per_class_auc(sm)[0])
+
+
+def _mean_defined(values):
     defined = [v for v in values if v is not None]
     if not defined:
         raise UndefinedMetricError("macro_auc: no class has both positives and negatives")
@@ -151,8 +154,11 @@ def class_pos_weights(labels):
 
 def weighted_auc(sm: ScoreMatrix):
     """Prevalence-weighted mean AUC; weights renormalized over defined classes."""
-    values, _ = per_class_auc(sm)
-    weights = class_pos_weights(sm.labels)
+    return _weighted_mean(per_class_auc(sm)[0], sm.labels)
+
+
+def _weighted_mean(values, labels):
+    weights = class_pos_weights(labels)
     mask = np.array([v is not None for v in values])
     w = weights[mask]
     if w.sum() == 0:
@@ -163,11 +169,15 @@ def weighted_auc(sm: ScoreMatrix):
 
 def disease_vs_disease_auc(sm: ScoreMatrix):
     """Mean per-class AUC restricted to samples with at least one positive label."""
+    return macro_auc(_diseased(sm))
+
+
+def _diseased(sm: ScoreMatrix):
     any_pos = np.asarray(sm.labels).sum(axis=1) > 0
     sub = ScoreMatrix(sm.scores[any_pos], sm.labels[any_pos], sm.class_names)
     if sub.scores.shape[0] == 0:
         raise UndefinedMetricError("d_auc: no sample has a positive label")
-    return macro_auc(sub)
+    return sub
 
 
 def normal_vs_disease_auc(sm: ScoreMatrix):
@@ -201,9 +211,7 @@ def build_report(sm: ScoreMatrix) -> MetricsReport:
         warnings.warn("macro_auc undefined: every class skipped", stacklevel=2)
 
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            w_auc_val = weighted_auc(sm)
+        w_auc_val = _weighted_mean(values, sm.labels)
     except UndefinedMetricError as exc:
         warnings.warn(f"w_auc undefined: {exc}", stacklevel=2)
         w_auc_val = None
@@ -211,10 +219,9 @@ def build_report(sm: ScoreMatrix) -> MetricsReport:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            d_auc_val = disease_vs_disease_auc(sm)
-            any_pos = np.asarray(sm.labels).sum(axis=1) > 0
-            sub = ScoreMatrix(sm.scores[any_pos], sm.labels[any_pos], sm.class_names)
-            _, skipped_classes["d_auc"] = per_class_auc(sub)
+            d_values, d_skipped = per_class_auc(_diseased(sm))
+        d_auc_val = _mean_defined(d_values)
+        skipped_classes["d_auc"] = d_skipped
     except UndefinedMetricError as exc:
         warnings.warn(f"d_auc undefined: {exc}", stacklevel=2)
         d_auc_val = None

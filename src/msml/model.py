@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import bilinear as bl
 from . import ops
+from .dataset import write_atomic
 from .errors import ConfigError, DimensionError, FormatError
 from .losses import LossWeights
 
@@ -216,13 +218,11 @@ class TwoStreamModel:
         drop_b, mask_b = ops.dropout_forward(flat_b, rate, training, [seed, 1])
         logits_msml = self.head_msml.forward(drop_b)
 
-        v = bl.bilinear_pool_batch(fa, fb)
-        s = bl.signed_sqrt(v)
-        u, norms = bl.l2_normalize_batch(s)
-        hidden = self.proj.forward(u)
-        logits_fce = self.cls.forward(hidden)
+        logits_fce, head_cache = bl.bilinear_head_batch(
+            fa, fb, self.proj.w, self.proj.b, self.cls.w, self.cls.b
+        )
 
-        self._cache = (fa, fb, mask_a, mask_b, v, s, norms)
+        self._cache = (fa, fb, mask_a, mask_b, head_cache)
         return ForwardPass(logits_ce, logits_msml, logits_fce, fa, fb)
 
     def backward(self, d_ce=None, d_msml=None, d_fce=None):
@@ -231,7 +231,7 @@ class TwoStreamModel:
         Omitted heads contribute nothing, which is how the staged training
         strategies exclude loss terms.
         """
-        fa, fb, mask_a, mask_b, v, s, norms = self._cache
+        fa, fb, mask_a, mask_b, head_cache = self._cache
         d_fa = np.zeros_like(fa)
         d_fb = np.zeros_like(fb)
         if d_ce is not None:
@@ -241,11 +241,11 @@ class TwoStreamModel:
             d_drop = self.head_msml.backward(d_msml)
             d_fb += ops.dropout_backward(d_drop, mask_b).reshape(fb.shape)
         if d_fce is not None:
-            d_hidden = self.cls.backward(d_fce)
-            d_u = self.proj.backward(d_hidden)
-            d_s = bl.l2_normalize_backward(d_u, s, norms)
-            d_v = bl.signed_sqrt_backward(d_s, v)
-            g_fa, g_fb = bl.bilinear_pool_backward(d_v, fa, fb)
+            g_fa, g_fb, dproj_w, dproj_b, dcls_w, dcls_b = bl.bilinear_head_backward(d_fce, head_cache)
+            self.proj.dw += dproj_w
+            self.proj.db += dproj_b
+            self.cls.dw += dcls_w
+            self.cls.db += dcls_b
             d_fa += g_fa
             d_fb += g_fb
         self.stream_a.backward(d_fa)
@@ -439,15 +439,11 @@ def save_checkpoint(model, path):
         blob += struct.pack("<I", value.ndim)
         blob += struct.pack(f"<{value.ndim}I", *value.shape)
         blob += np.ascontiguousarray(value, dtype="<f8").tobytes()
-    from pathlib import Path
-
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def read_checkpoint(path):
     """Return (num_classes, dict name -> float64 array)."""
-    from pathlib import Path
-
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {raw[:8]!r}", offset=0)

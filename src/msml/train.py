@@ -61,6 +61,8 @@ class FoldData:
 
 
 def _phases(strategy, epochs, model):
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}; choose one of {STRATEGIES}")
     groups = model.param_groups()
     all_params = groups["backbones"] + groups["stream_heads"] + groups["bilinear_head"]
     if model.kind == "baseline":
@@ -68,8 +70,6 @@ def _phases(strategy, epochs, model):
     w = model.loss_weights
     if strategy == "global":
         return [(epochs, ("ce", "msml", "fce"), all_params, w.alpha, w.beta)]
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; choose one of {STRATEGIES}")
     phase1 = max(1, (2 * epochs) // 3)
     phase2 = epochs - phase1
     plan = [(phase1, ("ce", "msml"), groups["backbones"] + groups["stream_heads"], w.alpha, 0.0)]

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from msml import dataset as ds
-from msml.cli import main, parse_experiment_config
+from msml.cli import ExperimentConfig, main
 from msml.errors import ConfigError
 from msml.metrics import MetricsReport, ScoreMatrix, build_report
-from msml.model import model_from_checkpoint
+from msml.model import model_from_checkpoint, read_checkpoint
 from msml.train import score_fold
 import msml.cli as cli_mod
 
@@ -65,8 +65,8 @@ class TestGenData:
         assert (data_dir / "images.bin").exists()
         assert (data_dir / "labels.csv").exists()
         assert (data_dir / "splits.json").exists()
-        manifest = ds.parse_generator_spec((data_dir / "manifest.txt").read_text())
-        assert manifest == ds.parse_generator_spec(SPEC_TEXT)
+        manifest = ds.parse_fields(ds.GeneratorSpec, (data_dir / "manifest.txt").read_text())
+        assert manifest == ds.parse_fields(ds.GeneratorSpec, SPEC_TEXT)
 
     def test_regeneration_is_byte_identical(self, data_dir, tmp_path):
         spec_file = tmp_path / "spec.txt"
@@ -127,7 +127,7 @@ class TestTrain:
             assert float(lr) == 1e-4 * 0.1 ** (int(epoch) // 3)
 
     def test_resolved_config_reparses(self, trained_dir):
-        cfg = parse_experiment_config((trained_dir / "resolved_config.txt").read_text())
+        cfg = ds.parse_fields(ExperimentConfig, (trained_dir / "resolved_config.txt").read_text())
         assert cfg.epochs == 2
         assert cfg.model == "two_stream"
 
@@ -138,6 +138,30 @@ class TestTrain:
             epochs=1, out_dir=tmp_path / "o"
         ))
         assert main(["train", "--config", str(config)]) == 2
+
+    def test_unknown_strategy_exits_2(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text(CONFIG_TEMPLATE.format(
+            data_dir=data_dir, model="baseline", strategy="bogus", epochs=1, out_dir=tmp_path / "o"
+        ))
+        assert main(["train", "--config", str(config)]) == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_three_channel_dataset_trains_and_evaluates(self, tmp_path):
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(SPEC_TEXT.replace("num_samples = 90", "num_samples = 200") + "channels = 3\n")
+        data = tmp_path / "data"
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(data)]) == 0
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG_TEMPLATE.format(
+            data_dir=data, model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "run"
+        ))
+        assert main(["train", "--config", str(config)]) == 0
+        _, tensors = read_checkpoint(tmp_path / "run" / "model.ckpt")
+        assert tensors["meta.input_channels"].tolist() == [3.0]
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "model.ckpt"), "--data", str(data),
+                     "--out", str(tmp_path / "report.json")]) == 0
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         config = tmp_path / "c.txt"
@@ -211,8 +235,8 @@ class TestGradcheckCommand:
 class TestExperimentConfigParsing:
     def test_line_numbers_in_errors(self):
         with pytest.raises(ConfigError, match="line 2"):
-            parse_experiment_config("epochs = 3\nepochs = x\n")
+            ds.parse_fields(ExperimentConfig, "epochs = 3\nepochs = x\n")
 
     def test_requires_dataset_and_out_dir(self):
         with pytest.raises(ConfigError):
-            parse_experiment_config("epochs = 3\n")
+            ds.parse_fields(ExperimentConfig, "epochs = 3\n")

@@ -261,6 +261,15 @@ class TestStorage:
         with pytest.raises(FormatError, match="rows"):
             ds.load(tmp_path)
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(ds.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            ds.save(ds.generate(small_spec(num_samples=5)), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_splits_round_trip(self, tmp_path):
         data = ds.generate(small_spec())
         folds = ds.split(data, ds.SplitSpec(seed=5))
@@ -272,26 +281,26 @@ class TestStorage:
 
 class TestSpecFiles:
     def test_defaults_when_empty(self):
-        spec = ds.parse_generator_spec("")
+        spec = ds.parse_fields(ds.GeneratorSpec, "")
         assert spec == ds.GeneratorSpec()
 
     def test_round_trip(self):
         spec = ds.GeneratorSpec(num_samples=123, seed=99, noise_sigma=0.05,
                                 cooccurrence_pairs=((1, 2, 0.1),))
-        again = ds.parse_generator_spec(ds.format_generator_spec(spec))
+        again = ds.parse_fields(ds.GeneratorSpec, ds.format_fields(spec))
         assert again == spec
 
     def test_line_numbered_errors(self):
         with pytest.raises(ConfigError, match="line 3"):
-            ds.parse_generator_spec("num_samples = 50\nseed = 1\nwhat_is_this = 3\n")
+            ds.parse_fields(ds.GeneratorSpec, "num_samples = 50\nseed = 1\nwhat_is_this = 3\n")
         with pytest.raises(ConfigError, match="line 2"):
-            ds.parse_generator_spec("seed = 1\nnum_samples = abc\n")
+            ds.parse_fields(ds.GeneratorSpec, "seed = 1\nnum_samples = abc\n")
 
     def test_invalid_prevalence_rejected(self):
         text = "class_prevalence = 1.5, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2\n"
         with pytest.raises(ConfigError):
-            ds.parse_generator_spec(text)
+            ds.parse_fields(ds.GeneratorSpec, text)
 
     def test_comments_and_blanks_ignored(self):
-        spec = ds.parse_generator_spec("# a comment\n\nnum_samples = 77  # trailing\n")
+        spec = ds.parse_fields(ds.GeneratorSpec, "# a comment\n\nnum_samples = 77  # trailing\n")
         assert spec.num_samples == 77

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_auc
+from msml import metrics
 from msml.errors import UndefinedMetricError
 from msml.metrics import (
     MetricsReport,
@@ -250,6 +251,23 @@ class TestBuildReport:
         vals = np.array([v for v in report.per_class_auc if v is not None])
         assert report.w_auc == pytest.approx(np.dot(w[mask], vals) / w[mask].sum(), abs=1e-12)
         assert sum(report.class_weights) == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_distinct_auc_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        labels = (rng.random((80, 8)) < 0.3).astype(np.int8)
+        labels[:4] = 0
+        labels[4:8] = 1
+        calls = []
+
+        def counting_roc_auc(scores, ys, real=metrics.roc_auc):
+            calls.append(1)
+            return real(scores, ys)
+
+        monkeypatch.setattr(metrics, "roc_auc", counting_roc_auc)
+        report = build_report(ScoreMatrix(rng.random((80, 8)), labels))
+        assert report.skipped_classes == {"per_class": [], "d_auc": [], "n_auc": []}
+        assert None not in (report.w_auc, report.d_auc, report.n_auc)
+        assert len(calls) == 24  # 8 per class, 8 on diseased samples, 8 against normals
 
     def test_undefined_aggregates_become_null(self):
         labels = np.array([[1, 1], [1, 1], [1, 0]])  # no normals, class 0 single-class

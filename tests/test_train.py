@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msml import dataset as ds
-from msml.errors import NumericalError
+from msml.errors import ConfigError, NumericalError
 from msml.losses import LossWeights
 from msml.model import BackboneConfig, ModelConfig, build_baseline, build_two_stream, lr_schedule
 from msml.train import FoldData, eval_total_loss, score_fold, train
@@ -165,3 +165,8 @@ class TestFailureModes:
         empty = FoldData(folds["train"].images[:0], folds["train"].labels[:0])
         with pytest.raises(Exception, match="nonempty"):
             train(model, empty, folds["val"], epochs=1, seed=12)
+
+    def test_unknown_strategy_rejected_for_baseline(self, folds):
+        model = build_baseline(CFG, seed=13)
+        with pytest.raises(ConfigError, match="bogus"):
+            train(model, folds["train"], folds["val"], strategy="bogus", epochs=1, seed=13)
