@@ -67,6 +67,13 @@ class ExperimentConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if not self.conv_blocks:
             raise ConfigError("conv_blocks needs at least one block")
+        for out_ch, kernel, _ in self.conv_blocks:
+            if out_ch < 1 or kernel < 1 or kernel % 2 == 0:
+                raise ConfigError(f"conv_blocks {out_ch}:{kernel}: needs out_channels >= 1 and an odd kernel >= 1")
+        if self.proj_width < 1:
+            raise ConfigError(f"proj_width must be >= 1, got {self.proj_width}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.dataset or not self.out_dir:
             raise ConfigError("config needs both dataset and out_dir")
         return self
@@ -78,7 +85,7 @@ def load_folds(data_dir):
     if not (data_dir / "images.bin").exists():
         raise DataError(f"no dataset at {data_dir}")
     data = ds.load(data_dir)
-    folds_idx = ds.load_splits(data_dir / "splits.json")
+    folds_idx = ds.load_splits(data_dir / "splits.json", len(data))
     images = {name: data.images[idx] for name, idx in folds_idx.items()}
     normed, _ = ds.normalize(images, "train")
     folds = {

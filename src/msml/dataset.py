@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -341,7 +342,10 @@ def load(directory) -> Dataset:
     for r, row in enumerate(body):
         try:
             group_ids[r] = int(row[1])
-            labels[r] = [int(v) for v in row[2:]]
+            values = [int(v) for v in row[2:]]
+            if not set(values) <= {0, 1}:
+                raise ValueError(f"labels must be 0 or 1, got {row[2:]}")
+            labels[r] = values
         except (ValueError, IndexError) as exc:
             raise FormatError(f"labels.csv row {r + 2} malformed: {exc}") from exc
     return Dataset(images, labels, group_ids, class_names)
@@ -352,9 +356,19 @@ def save_splits(folds: dict, path):
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def load_splits(path):
+def load_splits(path, num_samples):
+    """Fold name -> sample indices; each index is in range and in one fold once."""
     payload = json.loads(Path(path).read_text())
-    return {name: np.asarray(idx, dtype=np.int64) for name, idx in payload.items()}
+    folds = {name: np.asarray(idx, dtype=np.int64) for name, idx in payload.items()}
+    fold_of = {}
+    for name, idx in folds.items():
+        for i in idx.tolist():
+            if not 0 <= i < num_samples:
+                raise FormatError(f"splits.json fold {name!r}: index {i} outside [0, {num_samples})")
+            if i in fold_of:
+                raise FormatError(f"splits.json lists index {i} in fold {fold_of[i]!r} and again in {name!r}")
+            fold_of[i] = name
+    return folds
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +381,13 @@ def parse_fields(cls, text: str):
     Every field is a key; missing keys keep their defaults, and each value is
     parsed like its field's default. Lists are comma-separated and the items
     of a tuple colon-joined (``0:1:0.2``); a bool is written 0 or 1. ``#``
-    starts a comment. Parse errors carry the 1-based line number.
+    starts a comment at the start of a line or after whitespace, so
+    ``runs/#1`` is a value. Parse errors carry the 1-based line number.
     """
     defaults = {f.name: f.default for f in fields(cls)}
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

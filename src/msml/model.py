@@ -39,7 +39,7 @@ CHECKPOINT_MAGIC = b"MSML0001"
 @dataclass(frozen=True)
 class BackboneConfig:
     input_channels: int = 1
-    # (out_channels, kernel, pool) per block; conv is same-padded, stride 1,
+    # (out_channels, odd kernel, pool) per block; conv is same-padded, stride 1,
     # pool is a 2x2/2 max pool.
     conv_blocks: tuple = ((16, 3, True), (32, 3, True), (32, 3, True))
 
@@ -79,14 +79,12 @@ class Linear:
         self.b = np.zeros(out_dim, dtype=FLOAT)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._cache = None
 
     def forward(self, x):
-        out, self._cache = ops.affine_forward(x, self.w, self.b)
-        return out
+        return ops.affine_forward(x, self.w, self.b)
 
-    def backward(self, dout):
-        dx, dw, db = ops.affine_backward(dout, self._cache)
+    def backward(self, dout, cache):
+        dx, dw, db = ops.affine_backward(dout, cache)
         self.dw += dw
         self.db += db
         return dx
@@ -96,23 +94,20 @@ class Linear:
 
 
 class Conv2d:
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, pad=None):
+    def __init__(self, in_ch, out_ch, kernel, rng):
         std = np.sqrt(2.0 / (in_ch * kernel * kernel))
         self.w = rng.normal(0.0, std, size=(out_ch, in_ch, kernel, kernel))
         self.b = np.zeros(out_ch, dtype=FLOAT)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self.stride = stride
-        self.pad = kernel // 2 if pad is None else pad
-        self._cache = None
 
     def forward(self, x):
-        out, self._cache = ops.conv2d_forward(x, self.w, self.stride, self.pad)
-        return out + self.b[None, :, None, None]
+        out, cache = ops.conv2d_forward(x, self.w)
+        return out + self.b[None, :, None, None], cache
 
-    def backward(self, dout):
+    def backward(self, dout, cache):
         self.db += dout.sum(axis=(0, 2, 3))
-        dx, dw = ops.conv2d_backward(dout, self._cache)
+        dx, dw = ops.conv2d_backward(dout, cache)
         self.dw += dw
         return dx
 
@@ -130,26 +125,25 @@ class Backbone:
         for out_ch, kernel, _ in cfg.conv_blocks:
             self.convs.append(Conv2d(in_ch, out_ch, kernel, rng))
             in_ch = out_ch
-        self._caches = None
 
     def forward(self, x):
-        caches = []
+        """Return the feature maps and the tape ``backward`` needs."""
+        tape = []
         for conv, (_, _, pool) in zip(self.convs, self.cfg.conv_blocks):
-            x = conv.forward(x)
+            x, conv_cache = conv.forward(x)
             x, relu_mask = ops.relu_forward(x)
             pool_cache = None
             if pool:
-                x, pool_cache = ops.maxpool2d_forward(x, 2, 2)
-            caches.append((relu_mask, pool_cache))
-        self._caches = caches
-        return x
+                x, pool_cache = ops.maxpool2d_forward(x)
+            tape.append((conv_cache, relu_mask, pool_cache))
+        return x, tape
 
-    def backward(self, dout):
-        for conv, (relu_mask, pool_cache) in zip(reversed(self.convs), reversed(self._caches)):
+    def backward(self, dout, tape):
+        for conv, (conv_cache, relu_mask, pool_cache) in zip(reversed(self.convs), reversed(tape)):
             if pool_cache is not None:
                 dout = ops.maxpool2d_backward(dout, pool_cache)
             dout = ops.relu_backward(dout, relu_mask)
-            dout = conv.backward(dout)
+            dout = conv.backward(dout, conv_cache)
         return dout
 
     def params(self, prefix):
@@ -168,8 +162,7 @@ class ForwardPass:
     logits_ce: np.ndarray | None
     logits_msml: np.ndarray | None
     logits_fce: np.ndarray | None
-    features_a: np.ndarray | None
-    features_b: np.ndarray | None
+    tape: tuple  # all that the model's backward needs; models keep no per-call state
 
 
 def _check_batch(batch, cfg: ModelConfig):
@@ -180,15 +173,33 @@ def _check_batch(batch, cfg: ModelConfig):
     return batch
 
 
-class TwoStreamModel:
-    """Two backbones with CE and MSML heads plus a bilinear FCE head."""
-
-    kind = "two_stream"
+class Model:
+    """What both models share. Subclasses set ``kind``, ``heads`` and ``primary_head``
+    and define ``param_groups``, ``forward`` and ``backward(tape, d_ce, d_msml, d_fce)``."""
 
     def __init__(self, cfg: ModelConfig, seed: int, loss_weights: LossWeights = LossWeights()):
         self.cfg = cfg
         self.seed = seed
         self.loss_weights = loss_weights
+
+    def params(self):
+        """Every (name, value, grad) triple, in checkpoint order."""
+        return [p for group in self.param_groups().values() for p in group]
+
+    def zero_grads(self):
+        for _, _, g in self.params():
+            g[...] = 0.0
+
+
+class TwoStreamModel(Model):
+    """Two backbones with CE and MSML heads plus a bilinear FCE head."""
+
+    kind = "two_stream"
+    heads = ("ce", "msml", "fce")
+    primary_head = "fce"
+
+    def __init__(self, cfg: ModelConfig, seed: int, loss_weights: LossWeights = LossWeights()):
+        super().__init__(cfg, seed, loss_weights)
         d, h, w = cfg.backbone.feature_shape(cfg.input_size)
         flat = d * h * w
         # Streams share one seed stream so their initial weights are
@@ -199,47 +210,41 @@ class TwoStreamModel:
         self.head_msml = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 2]))
         self.proj = Linear(d * d, cfg.proj_width, np.random.default_rng([seed, 3]))
         self.cls = Linear(cfg.proj_width, cfg.num_classes, np.random.default_rng([seed, 4]))
-        self._cache = None
-
-    # -- forward / backward -------------------------------------------------
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         batch = _check_batch(batch, self.cfg)
         n = batch.shape[0]
         rate = self.cfg.dropout_rate
-        fa = self.stream_a.forward(batch)
-        fb = self.stream_b.forward(batch)
+        fa, tape_a = self.stream_a.forward(batch)
+        fb, tape_b = self.stream_b.forward(batch)
 
-        flat_a = fa.reshape(n, -1)
-        drop_a, mask_a = ops.dropout_forward(flat_a, rate, training, [seed, 0])
-        logits_ce = self.head_ce.forward(drop_a)
+        drop_a, mask_a = ops.dropout_forward(fa.reshape(n, -1), rate, training, [seed, 0])
+        logits_ce, ce_cache = self.head_ce.forward(drop_a)
 
-        flat_b = fb.reshape(n, -1)
-        drop_b, mask_b = ops.dropout_forward(flat_b, rate, training, [seed, 1])
-        logits_msml = self.head_msml.forward(drop_b)
+        drop_b, mask_b = ops.dropout_forward(fb.reshape(n, -1), rate, training, [seed, 1])
+        logits_msml, msml_cache = self.head_msml.forward(drop_b)
 
         logits_fce, head_cache = bl.bilinear_head_batch(
             fa, fb, self.proj.w, self.proj.b, self.cls.w, self.cls.b
         )
+        tape = (fa.shape, tape_a, tape_b, mask_a, mask_b, ce_cache, msml_cache, head_cache)
+        return ForwardPass(logits_ce, logits_msml, logits_fce, tape)
 
-        self._cache = (fa, fb, mask_a, mask_b, head_cache)
-        return ForwardPass(logits_ce, logits_msml, logits_fce, fa, fb)
-
-    def backward(self, d_ce=None, d_msml=None, d_fce=None):
+    def backward(self, tape, d_ce=None, d_msml=None, d_fce=None):
         """Accumulate parameter gradients for the supplied head gradients.
 
         Omitted heads contribute nothing, which is how the staged training
         strategies exclude loss terms.
         """
-        fa, fb, mask_a, mask_b, head_cache = self._cache
-        d_fa = np.zeros_like(fa)
-        d_fb = np.zeros_like(fb)
+        shape, tape_a, tape_b, mask_a, mask_b, ce_cache, msml_cache, head_cache = tape
+        d_fa = np.zeros(shape, dtype=FLOAT)
+        d_fb = np.zeros(shape, dtype=FLOAT)
         if d_ce is not None:
-            d_drop = self.head_ce.backward(d_ce)
-            d_fa += ops.dropout_backward(d_drop, mask_a).reshape(fa.shape)
+            d_drop = self.head_ce.backward(d_ce, ce_cache)
+            d_fa += ops.dropout_backward(d_drop, mask_a).reshape(shape)
         if d_msml is not None:
-            d_drop = self.head_msml.backward(d_msml)
-            d_fb += ops.dropout_backward(d_drop, mask_b).reshape(fb.shape)
+            d_drop = self.head_msml.backward(d_msml, msml_cache)
+            d_fb += ops.dropout_backward(d_drop, mask_b).reshape(shape)
         if d_fce is not None:
             g_fa, g_fb, dproj_w, dproj_b, dcls_w, dcls_b = bl.bilinear_head_backward(d_fce, head_cache)
             self.proj.dw += dproj_w
@@ -248,90 +253,50 @@ class TwoStreamModel:
             self.cls.db += dcls_b
             d_fa += g_fa
             d_fb += g_fb
-        self.stream_a.backward(d_fa)
-        self.stream_b.backward(d_fb)
-
-    # -- parameters ----------------------------------------------------------
-
-    def params(self):
-        out = []
-        out += self.stream_a.params("stream_a")
-        out += self.stream_b.params("stream_b")
-        out += self.head_ce.params("head_ce")
-        out += self.head_msml.params("head_msml")
-        out += self.proj.params("bilinear.proj")
-        out += self.cls.params("bilinear.cls")
-        return out
-
-    def backbone_params(self):
-        return self.stream_a.params("stream_a") + self.stream_b.params("stream_b")
+        self.stream_a.backward(d_fa, tape_a)
+        self.stream_b.backward(d_fb, tape_b)
 
     def param_groups(self):
         """Named parameter subsets used by the training strategies."""
         return {
-            "backbones": self.backbone_params(),
+            "backbones": self.stream_a.params("stream_a") + self.stream_b.params("stream_b"),
             "stream_heads": self.head_ce.params("head_ce") + self.head_msml.params("head_msml"),
             "bilinear_head": self.proj.params("bilinear.proj") + self.cls.params("bilinear.cls"),
         }
 
-    def zero_grads(self):
-        for _, _, g in self.params():
-            g[...] = 0.0
 
-    def heads(self):
-        return ("ce", "msml", "fce")
-
-    def primary_head(self):
-        return "fce"
-
-
-class BaselineModel:
+class BaselineModel(Model):
     """Single backbone with a sigmoid-CE classifier; the plain reference model."""
 
     kind = "baseline"
+    heads = ("ce",)
+    primary_head = "ce"
 
     def __init__(self, cfg: ModelConfig, seed: int):
-        self.cfg = cfg
-        self.seed = seed
-        self.loss_weights = LossWeights()
+        super().__init__(cfg, seed)
         d, h, w = cfg.backbone.feature_shape(cfg.input_size)
         self.backbone = Backbone(cfg.backbone, np.random.default_rng([seed, 0]))
         self.head_ce = Linear(d * h * w, cfg.num_classes, np.random.default_rng([seed, 1]))
-        self._cache = None
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         batch = _check_batch(batch, self.cfg)
         n = batch.shape[0]
-        fa = self.backbone.forward(batch)
+        fa, backbone_tape = self.backbone.forward(batch)
         drop, mask = ops.dropout_forward(fa.reshape(n, -1), self.cfg.dropout_rate, training, [seed, 0])
-        logits_ce = self.head_ce.forward(drop)
-        self._cache = (fa, mask)
-        return ForwardPass(logits_ce, None, None, fa, None)
+        logits_ce, head_cache = self.head_ce.forward(drop)
+        return ForwardPass(logits_ce, None, None, (fa.shape, backbone_tape, mask, head_cache))
 
-    def backward(self, d_ce=None, d_msml=None, d_fce=None):
-        fa, mask = self._cache
+    def backward(self, tape, d_ce=None, d_msml=None, d_fce=None):
         if d_ce is None:
             return
-        d_drop = self.head_ce.backward(d_ce)
-        self.backbone.backward(ops.dropout_backward(d_drop, mask).reshape(fa.shape))
-
-    def params(self):
-        return self.backbone.params("backbone") + self.head_ce.params("head_ce")
+        shape, backbone_tape, mask, head_cache = tape
+        d_drop = self.head_ce.backward(d_ce, head_cache)
+        self.backbone.backward(ops.dropout_backward(d_drop, mask).reshape(shape), backbone_tape)
 
     def param_groups(self):
         return {"backbones": self.backbone.params("backbone"),
                 "stream_heads": self.head_ce.params("head_ce"),
                 "bilinear_head": []}
-
-    def zero_grads(self):
-        for _, _, g in self.params():
-            g[...] = 0.0
-
-    def heads(self):
-        return ("ce",)
-
-    def primary_head(self):
-        return "ce"
 
 
 def build_two_stream(cfg: ModelConfig, seed: int, loss_weights=LossWeights()) -> TwoStreamModel:
@@ -350,7 +315,7 @@ def predict(model, batch, batch_seed=0):
     """Eval-mode per-head sigmoid probabilities, as a dict head -> (N, C)."""
     out = model.forward(batch, training=False, seed=batch_seed)
     probs = {}
-    for head in model.heads():
+    for head in model.heads:
         logits = getattr(out, f"logits_{head}")
         probs[head] = ops.sigmoid(logits)
     return probs

@@ -46,14 +46,15 @@ def affine_backward(dout, cache):
 
 
 # ---------------------------------------------------------------------------
-# conv2d (cross-correlation, zero padding)
+# conv2d (same-padded, stride-1 cross-correlation) and 2x2/2 maxpool2d
 # ---------------------------------------------------------------------------
 
-def conv2d_forward(x, kernel, stride=1, pad=0):
-    """Cross-correlate NCHW input with an (C_out, C_in, k, k) kernel.
+def conv2d_forward(x, kernel):
+    """Cross-correlate NCHW input with an odd square (C_out, C_in, k, k) kernel.
 
-    Output spatial size is floor((H + 2*pad - k) / stride) + 1. Implemented by
-    gathering sliding windows into a column matrix and using one matmul.
+    Stride 1, zero padding k // 2, so the output keeps the input's H x W. The
+    k * k shifted views of the padded input are gathered into a column matrix
+    and multiplied once; ``conv2d_backward`` scatters through the same views.
     """
     x, kernel = _as_f64(x), _as_f64(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -62,86 +63,63 @@ def conv2d_forward(x, kernel, stride=1, pad=0):
     c_out, kc_in, kh, kw = kernel.shape
     if kc_in != c_in:
         raise DimensionError.mismatch("conv2d kernel channels", kernel.shape, (c_out, c_in, kh, kw))
-    if stride < 1:
-        raise ParameterError(f"conv2d stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ParameterError(f"conv2d pad must be >= 0, got {pad}")
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if kh > hp or kw > wp:
-        raise DimensionError(
-            f"conv2d kernel {kh}x{kw} larger than padded input {hp}x{wp}"
-        )
-    if pad:
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = x
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (n, c_in, h_out, w_out, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c_in * kh * kw)
-    out = cols @ kernel.reshape(c_out, -1).T
-    out = out.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-    cache = (cols, kernel, x.shape, stride, pad, (h_out, w_out))
-    return np.ascontiguousarray(out), cache
+    if kh != kw or kh % 2 == 0:
+        raise DimensionError(f"conv2d needs an odd square kernel, got {kh}x{kw}")
+    k, pad = kh, kh // 2
+    if k > h + 2 * pad or k > w + 2 * pad:
+        raise DimensionError(f"conv2d kernel {k}x{k} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, h, w, c_in, k, k), dtype=FLOAT)
+    for a in range(k):
+        for b in range(k):
+            cols[..., a, b] = xp[:, :, a : a + h, b : b + w].transpose(0, 2, 3, 1)
+    cols = cols.reshape(n * h * w, c_in * k * k)
+    out = (cols @ kernel.reshape(c_out, -1).T).reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(out), (cols, kernel, x.shape)
 
 
 def conv2d_backward(dout, cache):
-    cols, kernel, x_shape, stride, pad, (h_out, w_out) = cache
-    n, c_in, h, w = x_shape
-    c_out, _, kh, kw = kernel.shape
-    dout = _as_f64(dout)
-    dmat = dout.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
+    cols, kernel, (n, c_in, h, w) = cache
+    c_out, _, k, _ = kernel.shape
+    pad = k // 2
+    dmat = _as_f64(dout).transpose(0, 2, 3, 1).reshape(n * h * w, c_out)
     dk = (dmat.T @ cols).reshape(kernel.shape)
-    dcols = dmat @ kernel.reshape(c_out, -1)
-    dcols = dcols.reshape(n, h_out, w_out, c_in, kh, kw)
+    dcols = (dmat @ kernel.reshape(c_out, -1)).reshape(n, h, w, c_in, k, k)
     dxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dtype=FLOAT)
-    for a in range(kh):
-        for b in range(kw):
-            dxp[:, :, a : a + h_out * stride : stride, b : b + w_out * stride : stride] += (
-                dcols[:, :, :, :, a, b].transpose(0, 3, 1, 2)
-            )
-    dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-    return dx, dk
+    for a in range(k):
+        for b in range(k):
+            dxp[:, :, a : a + h, b : b + w] += dcols[..., a, b].transpose(0, 3, 1, 2)
+    return dxp[:, :, pad : pad + h, pad : pad + w], dk
 
 
-# ---------------------------------------------------------------------------
-# maxpool2d
-# ---------------------------------------------------------------------------
+def _pool_views(x):
+    """The four strided 2x2/2 window slices in row-major order; an odd last row
+    or column is dropped."""
+    h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+    return [x[:, :, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1)]
 
-def maxpool2d_forward(x, window, stride):
-    """Per-window maximum. Ties route to the first index in row-major order."""
+
+def maxpool2d_forward(x):
+    """2x2 max-pool with stride 2. Ties route to the first maximum in row-major order."""
     x = _as_f64(x)
-    if x.ndim != 4:
-        raise DimensionError(f"maxpool2d expects 4-d input, got {x.shape}")
-    n, c, h, w = x.shape
-    if window > h or window > w:
-        raise DimensionError(f"maxpool2d window {window} exceeds spatial extent {h}x{w}")
-    if stride < 1:
-        raise ParameterError(f"maxpool2d stride must be >= 1, got {stride}")
-    win = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    h_out, w_out = win.shape[2], win.shape[3]
-    flat = win.reshape(n, c, h_out, w_out, window * window)
-    arg = flat.argmax(axis=-1)  # argmax picks the first maximum: the tie rule
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    cache = (arg, x.shape, window, stride, (h_out, w_out))
-    return out, cache
+    if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
+        raise DimensionError(f"maxpool2d expects 4-d input of at least 2x2, got {x.shape}")
+    views = _pool_views(x)
+    out = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    taken = np.zeros(out.shape, dtype=bool)
+    masks = []
+    for view in views:
+        masks.append((view == out) & ~taken)
+        taken |= masks[-1]
+    return out, (masks, x.shape)
 
 
 def maxpool2d_backward(dout, cache):
-    arg, x_shape, window, stride, (h_out, w_out) = cache
-    n, c, h, w = x_shape
+    masks, x_shape = cache
     dout = _as_f64(dout)
     dx = np.zeros(x_shape, dtype=FLOAT)
-    # Window-local argmax -> absolute coordinates; scatter-add handles
-    # overlapping windows when stride < window.
-    oi, oj = np.meshgrid(np.arange(h_out), np.arange(w_out), indexing="ij")
-    rows = oi[None, None] * stride + arg // window
-    cols = oj[None, None] * stride + arg % window
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    np.add.at(dx, (np.broadcast_to(ni, arg.shape), np.broadcast_to(ci, arg.shape), rows, cols), dout)
+    for view, mask in zip(_pool_views(dx), masks):
+        np.multiply(dout, mask, out=view)
     return dx
 
 

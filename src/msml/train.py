@@ -64,7 +64,7 @@ def _phases(strategy, epochs, model):
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; choose one of {STRATEGIES}")
     groups = model.param_groups()
-    all_params = groups["backbones"] + groups["stream_heads"] + groups["bilinear_head"]
+    all_params = model.params()
     if model.kind == "baseline":
         return [(epochs, ("ce",), all_params, 1.0, 0.0)]
     w = model.loss_weights
@@ -138,13 +138,13 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
                         epoch=epoch, step=steps,
                     )
                 model.zero_grads()
-                model.backward(*grads)
+                model.backward(out.tape, *grads)
                 opt.step(lr)
                 sums += (alpha * ce_val, alpha * ms_val, beta * fce_val)
                 steps += 1
             scores = score_fold(model, val_fold, crop_size=crop_size)
             try:
-                val_auc = macro_auc(ScoreMatrix(scores[model.primary_head()], val_fold.labels))
+                val_auc = macro_auc(ScoreMatrix(scores[model.primary_head], val_fold.labels))
             except UndefinedMetricError:
                 val_auc = float("nan")
             history.append(EpochStats(epoch, lr, *(sums / steps), val_auc))
@@ -195,4 +195,4 @@ def score_fold(model, fold: FoldData, crop_size=None, batch_size=64):
             results = list(pool.map(run, batches))
     else:
         results = [run(b) for b in batches]
-    return {head: np.concatenate([r[head] for r in results]) for head in model.heads()}
+    return {head: np.concatenate([r[head] for r in results]) for head in model.heads}

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own fast paths: the AUC oracle is the
-O(N^2) pairwise definition, and the convolution oracle is a direct loop over
-the defining sum.
+O(N^2) pairwise definition, and the convolution and max-pool oracles are
+direct loops over the defining sum or maximum. Both oracles take any stride,
+padding or window, while the library runs only the shapes the model uses.
 """
 
 import numpy as np
@@ -35,3 +36,30 @@ def loop_conv2d(x, kernel, stride, pad):
                     patch = xp[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
                     out[b, o, i, j] = np.sum(patch * kernel[o])
     return out
+
+
+def loop_maxpool2d(x, window, stride):
+    """Direct-loop max-pool, the pool oracle.
+
+    Returns the pooled values and, per output cell, the (row, col) of the
+    first maximum of its window in row-major order: the cell the gradient
+    flows to.
+    """
+    n, c, h, w = x.shape
+    h_out = (h - window) // stride + 1
+    w_out = (w - window) // stride + 1
+    out = np.zeros((n, c, h_out, w_out))
+    source = np.zeros((n, c, h_out, w_out, 2), dtype=int)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(h_out):
+                for j in range(w_out):
+                    best = None
+                    for a in range(window):
+                        for e in range(window):
+                            r, q = i * stride + a, j * stride + e
+                            if best is None or x[b, ch, r, q] > x[b, ch, best[0], best[1]]:
+                                best = (r, q)
+                    out[b, ch, i, j] = x[b, ch, best[0], best[1]]
+                    source[b, ch, i, j] = best
+    return out, source

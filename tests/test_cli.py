@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through cli.main (in-process)."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ class TestTrain:
         assert main(["eval", "--checkpoint", str(tmp_path / "run" / "model.ckpt"), "--data", str(data),
                      "--out", str(tmp_path / "report.json")]) == 0
 
+    @pytest.mark.parametrize("line", ["conv_blocks = 8:4:1, 8:3:1", "learning_rate = -1"])
+    def test_block_width_or_rate_the_model_cannot_honour_exits_2(self, data_dir, tmp_path, capsys, line):
+        config = tmp_path / "c.txt"
+        config.write_text(CONFIG_TEMPLATE.format(
+            data_dir=data_dir, model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "o"
+        ) + line + "\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         config = tmp_path / "c.txt"
         config.write_text("bogus_key = 1\n")
@@ -216,6 +227,25 @@ class TestEval:
                      "--data", str(data_dir), "--head", "bogus",
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("damage", ["label-2", "index-in-two-folds"])
+    def test_corrupt_dataset_exits_2(self, data_dir, trained_dir, tmp_path, capsys, damage):
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        if damage == "label-2":
+            lines = (copy / "labels.csv").read_text().splitlines()
+            lines[1] = lines[1][: lines[1].rindex(",")] + ",2"
+            (copy / "labels.csv").write_text("\n".join(lines) + "\n")
+        else:
+            folds = json.loads((copy / "splits.json").read_text())
+            folds["test"].append(folds["train"][0])
+            (copy / "splits.json").write_text(json.dumps(folds))
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--data", str(copy), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("row 2" if damage == "label-2" else "'test'") in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestGradcheckCommand:

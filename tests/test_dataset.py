@@ -274,9 +274,46 @@ class TestStorage:
         data = ds.generate(small_spec())
         folds = ds.split(data, ds.SplitSpec(seed=5))
         ds.save_splits(folds, tmp_path / "splits.json")
-        back = ds.load_splits(tmp_path / "splits.json")
+        back = ds.load_splits(tmp_path / "splits.json", len(data))
         for name in folds:
             np.testing.assert_array_equal(back[name], folds[name])
+
+    @pytest.mark.parametrize("cell", ["2", "-1"])
+    def test_label_outside_zero_one_names_the_row(self, tmp_path, cell):
+        ds.save(ds.generate(small_spec(num_samples=10)), tmp_path)
+        lines = (tmp_path / "labels.csv").read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[-1] = cell
+        lines[4] = ",".join(fields)
+        (tmp_path / "labels.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="row 5 .*0 or 1"):
+            ds.load(tmp_path)
+
+    def test_ungrouped_splits_load(self, tmp_path):
+        # grouped=False may put a group in several folds; loading accepts that
+        data = ds.generate(small_spec())
+        folds = ds.split(data, ds.SplitSpec(grouped=False, seed=2))
+        ds.save_splits(folds, tmp_path / "splits.json")
+        back = ds.load_splits(tmp_path / "splits.json", len(data))
+        assert sum(map(len, back.values())) == len(data)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda f: f["test"].append(10**6), "fold 'test': index 1000000 outside"),
+            (lambda f: f["val"].append(-1), "fold 'val': index -1 outside"),
+            (lambda f: f["test"].append(f["test"][0]), "index .* in fold 'test' and again in 'test'"),
+            (lambda f: f["test"].append(f["train"][0]), "index .* in fold 'test' and again in 'train'"),
+        ],
+        ids=["out-of-range", "negative", "repeated", "in-two-folds"],
+    )
+    def test_bad_split_index_names_the_fold(self, tmp_path, corrupt, message):
+        data = ds.generate(small_spec())
+        folds = {name: idx.tolist() for name, idx in ds.split(data, ds.SplitSpec(seed=5)).items()}
+        corrupt(folds)
+        ds.save_splits(folds, tmp_path / "splits.json")
+        with pytest.raises(FormatError, match=message):
+            ds.load_splits(tmp_path / "splits.json", len(data))
 
 
 class TestSpecFiles:

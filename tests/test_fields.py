@@ -1,5 +1,6 @@
 """The one key = value codec shared by generator specs and experiment configs."""
 
+import re
 import string
 
 import pytest
@@ -16,9 +17,15 @@ def floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-# Free-text values are taken verbatim up to a comment or the line end, so the
-# alphabet excludes '#' and line breaks but keeps '=', ',' and ':'.
-words = st.text(string.ascii_letters + string.digits + "/._-=:, ", min_size=1).map(str.strip).filter(bool)
+# Free-text values are taken verbatim up to a comment or the line end. A '#'
+# starts a comment only at the start of a line or after whitespace, so the
+# alphabet keeps '#', '=', ',' and ':' but drops line breaks, and a word may
+# hold '#' only where no whitespace precedes it.
+words = (
+    st.text(string.ascii_letters + string.digits + "/._-=:,# ", min_size=1)
+    .map(str.strip)
+    .filter(lambda w: w and not re.search(r"(^|\s)#", w))
+)
 
 
 @st.composite
@@ -41,7 +48,8 @@ def generator_specs(draw):
 
 @st.composite
 def experiment_configs(draw):
-    blocks = st.tuples(st.integers(1, 64), st.integers(1, 7), st.booleans())
+    odd_kernels = st.integers(0, 3).map(lambda r: 2 * r + 1)
+    blocks = st.tuples(st.integers(1, 64), odd_kernels, st.booleans())
     return ExperimentConfig(
         dataset=draw(words),
         model=draw(st.sampled_from(("two_stream", "baseline"))),
@@ -86,9 +94,25 @@ REQUIRED = "dataset = d\nout_dir = o\n"
         (ExperimentConfig, REQUIRED + "conv_blocks = 16:3, 32:3:1\n", 3),
         (ExperimentConfig, REQUIRED + "epochs = 2.5\n", 3),
         (ds.GeneratorSpec, "seed = 1\ncolour = red\n", 2),
+        (ExperimentConfig, REQUIRED + "conv_blocks = 0:3:1\n", None),
+        (ExperimentConfig, REQUIRED + "conv_blocks = 8:0:1\n", None),
+        (ExperimentConfig, REQUIRED + "conv_blocks = 16:3:1, 8:4:1\n", None),
+        (ExperimentConfig, REQUIRED + "conv_blocks = 8:-3:1\n", None),
+        (ExperimentConfig, REQUIRED + "proj_width = 0\n", None),
+        (ExperimentConfig, REQUIRED + "learning_rate = -1\n", None),
+        (ExperimentConfig, REQUIRED + "learning_rate = 0\n", None),
+        (ExperimentConfig, REQUIRED + "learning_rate = nan\n", None),
     ],
-    ids=["empty-conv-blocks", "three-value-image-size", "two-part-block", "float-epochs", "unknown-key"],
+    ids=["empty-conv-blocks", "three-value-image-size", "two-part-block", "float-epochs", "unknown-key",
+         "zero-channel-block", "zero-kernel", "even-kernel", "negative-kernel", "zero-proj-width",
+         "negative-rate", "zero-rate", "nan-rate"],
 )
 def test_rejected(cls, text, line):
     with pytest.raises(ConfigError, match=None if line is None else f"line {line}:"):
         ds.parse_fields(cls, text)
+
+
+def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace():
+    cfg = ds.parse_fields(ExperimentConfig, "dataset = runs/#1\nout_dir = o\t# note\n# whole line\n")
+    assert (cfg.dataset, cfg.out_dir) == ("runs/#1", "o")
+    assert ds.parse_fields(ds.GeneratorSpec, "num_samples = 77  # trailing\n").num_samples == 77

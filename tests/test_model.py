@@ -8,6 +8,7 @@ from msml.gradcheck import check_model
 from msml.model import (
     Adam,
     BackboneConfig,
+    Model,
     ModelConfig,
     build_baseline,
     build_two_stream,
@@ -102,6 +103,56 @@ class TestForward:
     def test_whole_model_gradient_check(self):
         errs = check_model(coords=10)
         assert errs["model"] <= 1e-4
+
+
+def _layers(obj):
+    """The object and every layer reachable through its attributes and lists."""
+    yield obj
+    for value in vars(obj).values():
+        for item in value if isinstance(value, list) else [value]:
+            if hasattr(item, "forward"):
+                yield from _layers(item)
+
+
+class TestNoPerCallState:
+    """A forward pass returns its tape; the model and its layers keep nothing."""
+
+    @pytest.mark.parametrize("build", [build_two_stream, build_baseline])
+    def test_forward_leaves_every_layer_unchanged(self, build):
+        m = build(TINY, seed=1)
+        before = [(layer, dict(vars(layer))) for layer in _layers(m)]
+        assert len(before) > 3
+        batch = np.random.default_rng(8).normal(size=(2, 1, 8, 8))
+        for training in (True, False):
+            m.forward(batch, training=training, seed=5)
+            for layer, attrs in before:
+                now = vars(layer)
+                assert now.keys() == attrs.keys(), type(layer).__name__
+                assert all(now[k] is v for k, v in attrs.items()), type(layer).__name__
+
+    @pytest.mark.parametrize("build", [build_two_stream, build_baseline])
+    def test_backward_uses_only_its_tape(self, build):
+        rng = np.random.default_rng(9)
+        first, second = rng.normal(size=(2, 3, 1, 8, 8))
+        grads = [rng.normal(size=(3, TINY.num_classes)) for _ in range(3)]
+
+        def grads_after(batches):
+            m = build(TINY, seed=2)
+            outs = [m.forward(b, training=True, seed=4) for b in batches]
+            m.zero_grads()
+            m.backward(outs[0].tape, *grads)
+            return [g.copy() for _, _, g in m.params()]
+
+        for a, b in zip(grads_after([first]), grads_after([first, second])):
+            np.testing.assert_array_equal(a, b)
+
+    def test_models_share_one_base(self):
+        for build, heads in ((build_two_stream, ("ce", "msml", "fce")), (build_baseline, ("ce",))):
+            m = build(TINY, seed=1)
+            assert isinstance(m, Model)
+            assert m.heads == heads and m.primary_head == heads[-1]
+            groups = m.param_groups()
+            assert m.params() == groups["backbones"] + groups["stream_heads"] + groups["bilinear_head"]
 
 
 class TestAdam:

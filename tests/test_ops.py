@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import loop_conv2d
+from helpers import loop_conv2d, loop_maxpool2d
 from msml import ops
 from msml.errors import DimensionError, ParameterError
 from msml.gradcheck import numerical_gradient, rel_error
@@ -31,59 +31,84 @@ class TestAffine:
 
 
 class TestConv2d:
+    """Same-padded, stride-1 cross-correlation with odd square kernels."""
+
     def test_scaling_kernel(self):
         x = np.ones((1, 1, 3, 3))
         k = np.full((1, 1, 1, 1), 2.0)
-        out, _ = ops.conv2d_forward(x, k, 1, 0)
+        out, _ = ops.conv2d_forward(x, k)
         np.testing.assert_array_equal(out, np.full((1, 1, 3, 3), 2.0))
 
     def test_hand_cross_correlation(self):
+        # centre and bottom-right taps: out[i, j] = x[i, j] + x[i + 1, j + 1], zero outside
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        k = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
-        out, _ = ops.conv2d_forward(x, k, 1, 0)
-        np.testing.assert_array_equal(out, [[[[5.0]]]])
+        k = np.zeros((1, 1, 3, 3))
+        k[0, 0, 1, 1] = k[0, 0, 2, 2] = 1.0
+        out, _ = ops.conv2d_forward(x, k)
+        np.testing.assert_array_equal(out, [[[[5.0, 2.0], [3.0, 4.0]]]])
 
     def test_same_padding_shape(self):
-        out, _ = ops.conv2d_forward(np.zeros((1, 1, 32, 32)), np.zeros((4, 1, 3, 3)), 1, 1)
+        out, _ = ops.conv2d_forward(np.zeros((1, 1, 32, 32)), np.zeros((4, 1, 3, 3)))
         assert out.shape == (1, 4, 32, 32)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
-    def test_matches_loop_oracle(self, stride, pad):
-        rng = np.random.default_rng([stride, pad])
-        x = rng.normal(size=(2, 3, 7, 6))
-        k = rng.normal(size=(4, 3, 3, 3))
-        out, _ = ops.conv2d_forward(x, k, stride, pad)
-        np.testing.assert_allclose(out, loop_conv2d(x, k, stride, pad), atol=1e-12)
+    # kernel size 2 * radius + 1 on an (6 + extra) x (5 + extra) input, so
+    # every case has one even and one odd extent
+    @pytest.mark.parametrize("radius,extra", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
+    def test_matches_loop_oracle(self, radius, extra):
+        rng = np.random.default_rng([radius, extra])
+        k = 2 * radius + 1
+        x = rng.normal(size=(2, 3, 6 + extra, 5 + extra))
+        kernel = rng.normal(size=(4, 3, k, k))
+        out, _ = ops.conv2d_forward(x, kernel)
+        np.testing.assert_allclose(out, loop_conv2d(x, kernel, 1, radius), atol=1e-12)
 
     def test_one_by_one_kernel_equals_channel_affine(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 5, 4, 4))
         k = rng.normal(size=(3, 5, 1, 1))
-        out, _ = ops.conv2d_forward(x, k, 1, 0)
+        out, _ = ops.conv2d_forward(x, k)
         # per-pixel affine map across channels
         expected = np.einsum("nchw,oc->nohw", x, k[:, :, 0, 0])
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_kernel_too_large(self):
+        # same padding fits any kernel to a nonempty input; an empty one is too small
         with pytest.raises(DimensionError):
-            ops.conv2d_forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)), 1, 0)
+            ops.conv2d_forward(np.zeros((1, 1, 0, 4)), np.zeros((1, 1, 5, 5)))
+
+    @pytest.mark.parametrize("kh,kw", [(2, 2), (4, 4), (3, 1), (1, 3)])
+    def test_even_or_non_square_kernel_rejected(self, kh, kw):
+        with pytest.raises(DimensionError, match="odd square kernel"):
+            ops.conv2d_forward(np.zeros((1, 1, 6, 6)), np.zeros((1, 1, kh, kw)))
+
+
+def _loop_pool_grad(x, dout):
+    """Scatter ``dout`` to the oracle's first-maximum cells."""
+    _, source = loop_maxpool2d(x, 2, 2)
+    dx = np.zeros_like(x)
+    for idx in np.ndindex(dout.shape):
+        r, q = source[idx]
+        dx[idx[0], idx[1], r, q] += dout[idx]
+    return dx
 
 
 class TestMaxPool:
+    """2x2 windows with stride 2."""
+
     def test_basic(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out, _ = ops.maxpool2d_forward(x, 2, 2)
+        out, _ = ops.maxpool2d_forward(x)
         np.testing.assert_array_equal(out, [[[[4.0]]]])
 
     def test_gradient_routes_to_argmax(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        _, cache = ops.maxpool2d_forward(x, 2, 2)
+        _, cache = ops.maxpool2d_forward(x)
         dx = ops.maxpool2d_backward(np.ones((1, 1, 1, 1)), cache)
         np.testing.assert_array_equal(dx, [[[[0.0, 0.0], [0.0, 1.0]]]])
 
     def test_tie_routes_to_first_index(self):
         x = np.ones((1, 1, 4, 4))
-        _, cache = ops.maxpool2d_forward(x, 2, 2)
+        _, cache = ops.maxpool2d_forward(x)
         dx = ops.maxpool2d_backward(np.ones((1, 1, 2, 2)), cache)
         expected = np.zeros((1, 1, 4, 4))
         expected[0, 0, ::2, ::2] = 1.0
@@ -92,14 +117,34 @@ class TestMaxPool:
     def test_one_nonzero_per_window(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 8, 8))
-        out, cache = ops.maxpool2d_forward(x, 2, 2)
+        out, cache = ops.maxpool2d_forward(x)
         dx = ops.maxpool2d_backward(np.ones_like(out), cache)
         counts = dx.reshape(2, 3, 4, 2, 4, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 16, 4)
         assert ((counts != 0).sum(axis=-1) == 1).all()
 
     def test_window_too_large(self):
         with pytest.raises(DimensionError):
-            ops.maxpool2d_forward(np.zeros((1, 1, 2, 2)), 3, 1)
+            ops.maxpool2d_forward(np.zeros((1, 1, 1, 4)))
+
+    def test_odd_last_row_and_column_dropped(self):
+        x = np.arange(25.0).reshape(1, 1, 5, 5)
+        out, cache = ops.maxpool2d_forward(x)
+        np.testing.assert_array_equal(out, [[[[6.0, 8.0], [16.0, 18.0]]]])
+        dx = ops.maxpool2d_backward(np.ones_like(out), cache)
+        assert not dx[..., 4, :].any() and not dx[..., :, 4].any()
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("h,w", [(4, 6), (5, 7), (6, 5), (3, 3), (8, 8)])
+    def test_matches_loop_oracle(self, h, w, ties):
+        rng = np.random.default_rng([h, w])
+        x = rng.normal(size=(2, 3, h, w))
+        if ties:
+            x = np.round(x)  # few distinct values, so most windows tie
+        out, cache = ops.maxpool2d_forward(x)
+        expected, _ = loop_maxpool2d(x, 2, 2)
+        np.testing.assert_array_equal(out, expected)
+        dout = rng.normal(size=out.shape)
+        np.testing.assert_array_equal(ops.maxpool2d_backward(dout, cache), _loop_pool_grad(x, dout))
 
 
 class TestRelu:
@@ -191,29 +236,26 @@ class TestGradients:
     @pytest.mark.parametrize("seed", range(20))
     def test_conv2d(self, seed):
         rng = np.random.default_rng([2, seed])
-        stride, pad = 1 + seed % 2, seed % 3
+        k = (1, 3, 5)[seed % 3]
         x = rng.normal(size=(2, 2, 5, 4))
-        k = rng.normal(size=(2, 2, 3, 3))
-        out, cache = ops.conv2d_forward(x, k, stride, pad)
+        kernel = rng.normal(size=(2, 2, k, k))
+        out, cache = ops.conv2d_forward(x, kernel)
         r = rng.normal(size=out.shape)
         dx, dk = ops.conv2d_backward(r, cache)
-        for analytic, arr in ((dx, x), (dk, k)):
+        for analytic, arr in ((dx, x), (dk, kernel)):
             numeric = numerical_gradient(
-                lambda: float(np.sum(ops.conv2d_forward(x, k, stride, pad)[0] * r)), arr
+                lambda: float(np.sum(ops.conv2d_forward(x, kernel)[0] * r)), arr
             )
             assert rel_error(analytic, numeric) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(20))
     def test_maxpool(self, seed):
         rng = np.random.default_rng([3, seed])
-        window, stride = (2, 2) if seed % 2 == 0 else (3, 2)
-        x = rng.normal(size=(2, 2, 6, 5))
-        out, cache = ops.maxpool2d_forward(x, window, stride)
+        x = rng.normal(size=(2, 2, 6 + seed % 2, 5 - seed % 2))  # even and odd extents
+        out, cache = ops.maxpool2d_forward(x)
         r = rng.normal(size=out.shape)
         analytic = ops.maxpool2d_backward(r, cache)
-        numeric = numerical_gradient(
-            lambda: float(np.sum(ops.maxpool2d_forward(x, window, stride)[0] * r)), x
-        )
+        numeric = numerical_gradient(lambda: float(np.sum(ops.maxpool2d_forward(x)[0] * r)), x)
         assert rel_error(analytic, numeric) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(20))
