@@ -20,8 +20,6 @@ from .model import (
     BaselineModel,
     ModelConfig,
     TwoStreamModel,
-    build_baseline,
-    build_two_stream,
     ensemble_fuse,
     lr_schedule,
     model_from_checkpoint,
@@ -52,9 +50,7 @@ __all__ = [
     "SplitSpec",
     "TwoStreamModel",
     "UndefinedMetricError",
-    "build_baseline",
     "build_report",
-    "build_two_stream",
     "ensemble_fuse",
     "generate",
     "lr_schedule",

@@ -27,9 +27,9 @@ from .losses import LossWeights
 from .metrics import ScoreMatrix, build_report
 from .model import (
     BackboneConfig,
+    BaselineModel,
     ModelConfig,
-    build_baseline,
-    build_two_stream,
+    TwoStreamModel,
     ensemble_fuse,
     model_from_checkpoint,
     save_checkpoint,
@@ -104,8 +104,8 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int, input_chann
         dropout_rate=cfg.dropout_rate,
     )
     if cfg.model == "baseline":
-        return build_baseline(model_cfg, cfg.seed)
-    return build_two_stream(model_cfg, cfg.seed, LossWeights(cfg.alpha, cfg.beta))
+        return BaselineModel(model_cfg, cfg.seed)
+    return TwoStreamModel(model_cfg, cfg.seed, LossWeights(cfg.alpha, cfg.beta))
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,6 @@ class Dataset:
     def __len__(self):
         return self.images.shape[0]
 
-    def subset(self, indices):
-        idx = np.asarray(indices)
-        return Dataset(self.images[idx], self.labels[idx], self.group_ids[idx], list(self.class_names))
-
 
 def class_template(class_index, channels, height, width):
     """Deterministic planted pattern for one class.
@@ -358,17 +354,23 @@ def save_splits(folds: dict, path):
 
 def load_splits(path, num_samples):
     """Fold name -> sample indices; each index is in range and in one fold once."""
-    payload = json.loads(Path(path).read_text())
-    folds = {name: np.asarray(idx, dtype=np.int64) for name, idx in payload.items()}
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path} holds a {type(payload).__name__}, expected an object of folds")
     fold_of = {}
-    for name, idx in folds.items():
-        for i in idx.tolist():
+    for name, idx in payload.items():
+        if not isinstance(idx, list) or not all(type(i) is int for i in idx):
+            raise FormatError(f"{path} fold {name!r}: expected a list of integer indices")
+        for i in idx:
             if not 0 <= i < num_samples:
                 raise FormatError(f"splits.json fold {name!r}: index {i} outside [0, {num_samples})")
             if i in fold_of:
                 raise FormatError(f"splits.json lists index {i} in fold {fold_of[i]!r} and again in {name!r}")
             fold_of[i] = name
-    return folds
+    return {name: np.asarray(idx, dtype=np.int64) for name, idx in payload.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from . import bilinear as bl
 from . import ops
 from .losses import msml, sigmoid_bce, total_loss
-from .model import BackboneConfig, ModelConfig, build_two_stream
+from .model import BackboneConfig, ModelConfig, TwoStreamModel
 from .train import _losses_and_grads
 
 STEP = 1e-5
@@ -236,7 +236,7 @@ def check_model(coords=10, perturb=0.0, seed=4):
         backbone=BackboneConfig(input_channels=1, conv_blocks=((4, 3, True), (6, 3, True))),
         proj_width=5,
     )
-    model = build_two_stream(cfg, seed=seed)
+    model = TwoStreamModel(cfg, seed=seed)
     batch = rng.normal(size=(2, 1, 8, 8))
     labels = np.stack([_random_labels(rng, 4) for _ in range(2)])
     w = model.loss_weights
@@ -259,14 +259,7 @@ def check_model(coords=10, perturb=0.0, seed=4):
         _, value, grad = params[t]
         i = int(rng.integers(value.size))
         analytic.append(grad.reshape(-1)[i])
-        flat = value.reshape(-1)
-        old = flat[i]
-        flat[i] = old + STEP
-        fp = f()
-        flat[i] = old - STEP
-        fm = f()
-        flat[i] = old
-        numeric.append((fp - fm) / (2.0 * STEP))
+        numeric.append(numerical_gradient(f, value.reshape(-1)[i : i + 1])[0])
     err = rel_error(np.asarray(analytic) + perturb, np.asarray(numeric))
     return {"model": err}
 

@@ -9,8 +9,9 @@ Three pieces:
   mean negative log of those restricted probabilities.
 * ``total_loss`` - the weighted composite alpha * (msml + ce) + beta * fce.
 
-Per-sample functions take 1-d logits/labels; ``*_batch`` variants take
-(N, C) arrays and return the mean loss with the gradient of that mean.
+The ``*_batch`` variants take (N, C) arrays and return the mean loss with
+the gradient of that mean; the per-sample functions are views of them on a
+batch of one.
 """
 
 from __future__ import annotations
@@ -57,35 +58,9 @@ def sigmoid_bce(logits, labels):
 
 
 def msml(logits, labels):
-    """Multi-label softmax loss of one sample.
-
-    With positives Y and negatives N, each positive l gets the restricted
-    probability p_l = exp(x_l) / (exp(x_l) + sum_{k in N} exp(x_k)) and the
-    loss is -(1/|Y|) sum_l log p_l. Empty Y or empty N give zero loss and
-    zero gradient. Exponentials are shifted by a per-positive max so
-    arbitrarily large logits stay finite.
-    """
-    x, y = _check_pair(logits, labels)
-    pos = y == 1
-    neg = ~pos
-    n_pos = int(pos.sum())
-    grad = np.zeros_like(x)
-    if n_pos == 0 or n_pos == x.size:
-        return 0.0, grad
-    xn = x[neg]
-    neg_max = xn.max()
-    s_neg = np.exp(xn - neg_max).sum()
-    xp = x[pos]
-    shift = np.maximum(xp, neg_max)
-    e_pos = np.exp(xp - shift)
-    den = e_pos + np.exp(neg_max - shift) * s_neg
-    loss = float(-np.sum((xp - shift) - np.log(den)) / n_pos)
-    p = e_pos / den
-    grad[pos] = (p - 1.0) / n_pos
-    # For negative k: (1/|Y|) sum_l exp(x_k) / (exp(x_l) + S); factor the
-    # common exp(x_k - neg_max) out of the sum over positives.
-    grad[neg] = np.exp(xn - neg_max) * float(np.sum(np.exp(neg_max - shift) / den)) / n_pos
-    return loss, grad
+    """Multi-label softmax loss of one sample; see ``msml_batch``."""
+    loss, grad = msml_batch(np.asarray(logits)[None], np.asarray(labels)[None])
+    return loss, grad[0]
 
 
 def total_loss(ce, msml_value, fce, weights=LossWeights()):
@@ -106,13 +81,32 @@ def sigmoid_bce_batch(logits, labels):
 
 
 def msml_batch(logits, labels):
-    """Mean per-sample msml over an (N, C) batch, with its gradient."""
+    """Mean per-sample multi-label softmax loss over an (N, C) batch, with its gradient.
+
+    With positives Y and negatives N of a row, each positive l gets the
+    restricted probability p_l = exp(x_l) / (exp(x_l) + sum_{k in N} exp(x_k))
+    and the row's loss is -(1/|Y|) sum_l log p_l. A row with no positive or no
+    negative has zero loss and zero gradient. Each positive is shifted by
+    max(x_l, largest negative logit of its row), so arbitrarily large logits
+    stay finite.
+    """
     x, y = _check_pair(logits, labels)
     n = x.shape[0]
-    total = 0.0
     grad = np.zeros_like(x)
-    for i in range(n):
-        loss_i, grad_i = msml(x[i], y[i])
-        total += loss_i
-        grad[i] = grad_i
-    return total / n, grad / n
+    pos = y == 1
+    n_pos = pos.sum(axis=1)
+    rows = (n_pos > 0) & (n_pos < x.shape[1])
+    x, pos, n_pos = x[rows], pos[rows], n_pos[rows, None]
+    neg_max = np.max(x, axis=1, where=~pos, initial=-np.inf, keepdims=True)
+    # every negative is at most neg_max, so its shift is neg_max and e holds
+    # exp(x_k - neg_max) on negatives and exp(x_l - shift_l) on positives
+    shift = np.maximum(x, neg_max)
+    e = np.exp(x - shift)
+    e_top = np.exp(neg_max - shift)
+    den = e + e_top * np.sum(e, axis=1, where=~pos, keepdims=True)
+    loss = float(np.sum(-np.sum(x - shift - np.log(den), axis=1, where=pos, keepdims=True) / n_pos))
+    # For negative k: (1/|Y|) sum_l exp(x_k) / (exp(x_l) + S); factor the
+    # common exp(x_k - neg_max) out of the sum over positives.
+    d_neg = e * np.sum(e_top / den, axis=1, where=pos, keepdims=True)
+    grad[rows] = np.where(pos, e / den - 1.0, d_neg) / n_pos
+    return loss / n, grad / n

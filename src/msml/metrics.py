@@ -81,18 +81,18 @@ class MetricsReport:
 
 
 def _average_ranks(values):
-    """1-based ranks with tied values sharing the average of their ranks."""
+    """1-based ranks with tied values sharing the average of their ranks.
+
+    A run of equal values in stable sorted order spans ranks start+1..end and
+    gets their mean; each NaN is a run of its own, placed last in input order.
+    """
     values = np.asarray(values, dtype=FLOAT)
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], values.size]
     ranks = np.empty(values.size, dtype=FLOAT)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(ends - (ends - starts - 1) / 2.0, ends - starts)
     return ranks
 
 
@@ -205,10 +205,11 @@ def build_report(sm: ScoreMatrix) -> MetricsReport:
     values, skipped = per_class_auc(sm)
     skipped_classes = {"per_class": skipped, "d_auc": [], "n_auc": []}
 
-    defined = [v for v in values if v is not None]
-    macro = float(np.mean(defined)) if defined else None
-    if macro is None:
+    try:
+        macro = _mean_defined(values)
+    except UndefinedMetricError:
         warnings.warn("macro_auc undefined: every class skipped", stacklevel=2)
+        macro = None
 
     try:
         w_auc_val = _weighted_mean(values, sm.labels)
@@ -234,9 +235,10 @@ def build_report(sm: ScoreMatrix) -> MetricsReport:
     labels = np.asarray(sm.labels)
     skipped_classes["n_auc"] = [c for c in range(sm.num_classes) if labels[:, c].sum() == 0]
 
-    pos_counts = labels.sum(axis=0).astype(FLOAT)
-    total_pos = pos_counts.sum()
-    weights = (pos_counts / total_pos).tolist() if total_pos > 0 else [0.0] * sm.num_classes
+    try:
+        weights = class_pos_weights(labels).tolist()
+    except UndefinedMetricError:
+        weights = [0.0] * sm.num_classes
 
     return MetricsReport(
         per_class_auc=values,

@@ -299,14 +299,6 @@ class BaselineModel(Model):
                 "bilinear_head": []}
 
 
-def build_two_stream(cfg: ModelConfig, seed: int, loss_weights=LossWeights()) -> TwoStreamModel:
-    return TwoStreamModel(cfg, seed, loss_weights)
-
-
-def build_baseline(cfg: ModelConfig, seed: int) -> BaselineModel:
-    return BaselineModel(cfg, seed)
-
-
 # ---------------------------------------------------------------------------
 # prediction and fusion
 # ---------------------------------------------------------------------------
@@ -455,8 +447,7 @@ def model_from_checkpoint(path):
         proj_width=int(tensors["meta.proj_width"][0]),
         dropout_rate=float(tensors["meta.dropout_rate"][0]),
     )
-    kind = "baseline" if tensors["meta.kind"][0] == 0.0 else "two_stream"
-    model = build_baseline(cfg, seed=0) if kind == "baseline" else build_two_stream(cfg, seed=0)
+    model = (BaselineModel if tensors["meta.kind"][0] == 0.0 else TwoStreamModel)(cfg, seed=0)
     for name, value, _ in model.params():
         if name not in tensors:
             raise FormatError(f"checkpoint lacks parameter {name}")

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own fast paths: the AUC oracle is the
-O(N^2) pairwise definition, and the convolution and max-pool oracles are
-direct loops over the defining sum or maximum. Both oracles take any stride,
+O(N^2) pairwise definition, the convolution and max-pool oracles are direct
+loops over the defining sum or maximum, and the MSML oracle loops over the
+samples of a batch. The convolution and max-pool oracles take any stride,
 padding or window, while the library runs only the shapes the model uses.
 """
 
@@ -63,3 +64,34 @@ def loop_maxpool2d(x, window, stride):
                     out[b, ch, i, j] = x[b, ch, best[0], best[1]]
                     source[b, ch, i, j] = best
     return out, source
+
+
+def loop_msml(x, y):
+    """Mean MSML of an (N, C) batch and its gradient, one sample at a time.
+
+    For each sample with positives Y and negatives N, each positive l gets
+    p_l = exp(x_l) / (exp(x_l) + sum_{k in N} exp(x_k)) and the loss is
+    -(1/|Y|) sum_l log p_l; empty Y or empty N give zero loss and gradient.
+    Exponentials are shifted by a per-positive max to stay finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    total = 0.0
+    grad = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        pos = y[i] == 1
+        neg = ~pos
+        n_pos = int(pos.sum())
+        if n_pos == 0 or n_pos == x.shape[1]:
+            continue
+        xn = x[i, neg]
+        neg_max = xn.max()
+        s_neg = np.exp(xn - neg_max).sum()
+        xp = x[i, pos]
+        shift = np.maximum(xp, neg_max)
+        e_pos = np.exp(xp - shift)
+        den = e_pos + np.exp(neg_max - shift) * s_neg
+        total += float(-np.sum((xp - shift) - np.log(den)) / n_pos)
+        grad[i, pos] = (e_pos / den - 1.0) / n_pos
+        grad[i, neg] = np.exp(xn - neg_max) * float(np.sum(np.exp(neg_max - shift) / den)) / n_pos
+    return total / x.shape[0], grad / x.shape[0]

@@ -25,7 +25,7 @@ from msml.metrics import (
     roc_auc,
     weighted_auc,
 )
-from msml.model import ModelConfig, build_baseline, build_two_stream, ensemble_fuse
+from msml.model import BaselineModel, ModelConfig, TwoStreamModel, ensemble_fuse
 from msml.train import FoldData, score_fold, train
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -68,13 +68,13 @@ def experiments(default_data):
     ordering_seconds = 0.0
     for seed in SEEDS:
         t0 = time.perf_counter()
-        baseline = build_baseline(ModelConfig(), seed=seed)
+        baseline = BaselineModel(ModelConfig(), seed=seed)
         train(baseline, folds["train"], folds["val"], strategy="global",
               epochs=EXPERIMENT_EPOCHS, seed=seed)
         base_scores = score_fold(baseline, test)
         row = {"baseline": test_auc(base_scores["ce"])}
         for strategy in ("global", "local", "local_fixed"):
-            model = build_two_stream(ModelConfig(), seed=seed)
+            model = TwoStreamModel(ModelConfig(), seed=seed)
             train(model, folds["train"], folds["val"], strategy=strategy,
                   epochs=EXPERIMENT_EPOCHS, seed=seed)
             scores = score_fold(model, test)
@@ -195,7 +195,7 @@ def test_bce_gradient_contract():
 
 def test_symmetry_breaking(default_data):
     folds = default_data["folds"]
-    model = build_two_stream(ModelConfig(), seed=42)
+    model = TwoStreamModel(ModelConfig(), seed=42)
     train(model, folds["train"], folds["val"], strategy="global", epochs=1, seed=42)
     diffs = [
         np.abs(pa[1] - pb[1]).max()

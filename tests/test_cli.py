@@ -247,6 +247,16 @@ class TestEval:
         assert ("row 2" if damage == "label-2" else "'test'") in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_truncated_splits_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        (copy / "splits.json").write_text('{"train": [1, 2')
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--data", str(copy), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "splits.json is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestGradcheckCommand:
     def test_losses_scope_passes(self, capsys):

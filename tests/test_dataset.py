@@ -315,6 +315,23 @@ class TestStorage:
         with pytest.raises(FormatError, match=message):
             ds.load_splits(tmp_path / "splits.json", len(data))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"train": [1, 2', "not valid JSON"),
+            ("[0, 1, 2]", "holds a list, expected an object of folds"),
+            ('{"train": [0, 1.5]}', "fold 'train': expected a list of integer indices"),
+            ('{"train": [0, true]}', "fold 'train': expected a list of integer indices"),
+            ('{"train": 3}', "fold 'train': expected a list of integer indices"),
+        ],
+        ids=["truncated", "not-an-object", "float-index", "bool-index", "fold-not-a-list"],
+    )
+    def test_malformed_splits_file_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "splits.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"splits.json.*{message}"):
+            ds.load_splits(path, 10)
+
 
 class TestSpecFiles:
     def test_defaults_when_empty(self):

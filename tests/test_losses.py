@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import loop_msml
 from msml.errors import DimensionError, ParameterError
 from msml.gradcheck import numerical_gradient, rel_error
 from msml.losses import LossWeights, msml, msml_batch, sigmoid_bce, sigmoid_bce_batch, total_loss
@@ -175,6 +176,55 @@ class TestBatchVariants:
         np.testing.assert_allclose(grad_b, np.stack([g for _, g in losses]) / 6, atol=1e-15)
 
         loss_m, grad_m = msml_batch(x, y)
-        losses = [msml(x[i], y[i]) for i in range(6)]
-        assert loss_m == pytest.approx(np.mean([l for l, _ in losses]), abs=1e-12)
-        np.testing.assert_allclose(grad_m, np.stack([g for _, g in losses]) / 6, atol=1e-15)
+        loss_o, grad_o = loop_msml(x, y)
+        assert loss_m == pytest.approx(loss_o, abs=1e-12)
+        np.testing.assert_allclose(grad_m, grad_o, atol=1e-15)
+
+
+class TestMsmlBatchOracle:
+    """``msml_batch`` against the per-sample loop of ``helpers.loop_msml``."""
+
+    @staticmethod
+    def assert_matches_oracle(x, y):
+        loss, grad = msml_batch(x, y)
+        loss_o, grad_o = loop_msml(x, y)
+        np.testing.assert_allclose(loss, loss_o, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, grad_o, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c", range(2, 13))
+    def test_random_batches(self, c):
+        rng = np.random.default_rng([23, c])
+        for scale in (0.1, 2.0, 30.0):
+            for _ in range(20):
+                n = int(rng.integers(1, 20))
+                x = rng.normal(scale=scale, size=(n, c))
+                y = (rng.random((n, c)) < rng.random()).astype(np.int8)
+                self.assert_matches_oracle(x, y)
+
+    def test_all_positive_and_all_negative_rows(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(5, 6))
+        y = np.array([[1] * 6, [0] * 6, [1, 0, 0, 1, 0, 0], [0] * 6, [1] * 6], dtype=np.int8)
+        self.assert_matches_oracle(x, y)
+        _, grad = msml_batch(x, y)
+        np.testing.assert_array_equal(grad[[0, 1, 3, 4]], 0.0)
+        loss, grad = msml_batch(x, np.zeros_like(y))
+        assert loss == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_extreme_logits(self):
+        rng = np.random.default_rng(25)
+        x = rng.choice([-800.0, 800.0], size=(8, 5)) + rng.normal(size=(8, 5))
+        y = (rng.random((8, 5)) < 0.5).astype(np.int8)
+        y[0] = [1, 0, 1, 0, 1]
+        self.assert_matches_oracle(x, y)
+        loss, grad = msml_batch(x, y)
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+
+    def test_batch_of_one(self):
+        x, y = random_case(26)
+        self.assert_matches_oracle(x[None], y[None])
+        loss, grad = msml(x, y)
+        loss_b, grad_b = msml_batch(x[None], y[None])
+        assert loss == loss_b
+        np.testing.assert_array_equal(grad, grad_b[0])

@@ -64,6 +64,21 @@ class TestRocAuc:
             lhs = roc_auc(1.0 - scores, labels)
             assert abs(lhs - (1.0 - roc_auc(scores, labels))) < 1e-12
 
+    def test_average_ranks_of_ties_and_nans(self):
+        # a tie shares the mean of its ranks; each NaN ranks after every
+        # number, in input order
+        values = [0.5, np.nan, 0.2, 0.5, np.nan]
+        np.testing.assert_array_equal(metrics._average_ranks(values), [2.5, 4, 1, 2.5, 5])
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 5, size=300).astype(np.float64)
+        nan = rng.random(300) < 0.3
+        values[nan] = np.nan
+        ranks = metrics._average_ranks(values)
+        np.testing.assert_array_equal(ranks[nan], np.arange(1, nan.sum() + 1) + (~nan).sum())
+        for v in range(5):
+            below, tied = (values < v).sum(), (values == v).sum()
+            np.testing.assert_array_equal(ranks[values == v], below + (tied + 1) / 2)
+
 
 SIX = ScoreMatrix(
     scores=np.array([

@@ -8,10 +8,10 @@ from msml.gradcheck import check_model
 from msml.model import (
     Adam,
     BackboneConfig,
+    BaselineModel,
     Model,
     ModelConfig,
-    build_baseline,
-    build_two_stream,
+    TwoStreamModel,
     ensemble_fuse,
     lr_schedule,
     model_from_checkpoint,
@@ -34,37 +34,37 @@ def params_dict(model):
 
 class TestBuild:
     def test_streams_start_bit_identical(self):
-        m = build_two_stream(TINY, seed=3)
+        m = TwoStreamModel(TINY, seed=3)
         a = dict(p[:2] for p in m.stream_a.params("s"))
         b = dict(p[:2] for p in m.stream_b.params("s"))
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_same_seed_same_model(self):
-        a = params_dict(build_two_stream(TINY, seed=5))
-        b = params_dict(build_two_stream(TINY, seed=5))
+        a = params_dict(TwoStreamModel(TINY, seed=5))
+        b = params_dict(TwoStreamModel(TINY, seed=5))
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_different_seed_differs(self):
-        a = params_dict(build_two_stream(TINY, seed=5))
-        b = params_dict(build_two_stream(TINY, seed=6))
+        a = params_dict(TwoStreamModel(TINY, seed=5))
+        b = params_dict(TwoStreamModel(TINY, seed=6))
         assert any(not np.array_equal(a[name], b[name]) for name in a)
 
     def test_heads_independently_initialized(self):
-        m = build_two_stream(TINY, seed=3)
+        m = TwoStreamModel(TINY, seed=3)
         assert not np.array_equal(m.head_ce.w, m.head_msml.w)
 
     def test_too_small_input_rejected(self):
         cfg = ModelConfig(num_classes=2, input_size=(4, 4),
                           backbone=BackboneConfig(1, ((4, 3, True), (4, 3, True))))
         with pytest.raises(ConfigError):
-            build_two_stream(cfg, seed=0)
+            TwoStreamModel(cfg, seed=0)
 
 
 class TestForward:
     def test_zero_batch_gives_bias_logits(self):
-        m = build_two_stream(TINY, seed=1)
+        m = TwoStreamModel(TINY, seed=1)
         out = m.forward(np.zeros((2, 1, 8, 8)), training=False)
         # conv biases are zero at init, so features vanish and only the
         # classifier bias paths remain
@@ -75,7 +75,7 @@ class TestForward:
 
     def test_eval_deterministic(self):
         rng = np.random.default_rng(2)
-        m = build_two_stream(TINY, seed=1)
+        m = TwoStreamModel(TINY, seed=1)
         batch = rng.normal(size=(3, 1, 8, 8))
         a = m.forward(batch, training=False)
         b = m.forward(batch, training=False)
@@ -83,20 +83,20 @@ class TestForward:
 
     def test_training_mode_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
-        m = build_two_stream(TINY, seed=1)
+        m = TwoStreamModel(TINY, seed=1)
         batch = rng.normal(size=(3, 1, 8, 8))
         a = m.forward(batch, training=True, seed=7)
         b = m.forward(batch, training=True, seed=7)
         np.testing.assert_array_equal(a.logits_ce, b.logits_ce)
 
     def test_logit_widths(self):
-        m = build_two_stream(TINY, seed=1)
+        m = TwoStreamModel(TINY, seed=1)
         out = m.forward(np.zeros((5, 1, 8, 8)))
         for logits in (out.logits_ce, out.logits_msml, out.logits_fce):
             assert logits.shape == (5, TINY.num_classes)
 
     def test_wrong_spatial_size_rejected(self):
-        m = build_two_stream(TINY, seed=1)
+        m = TwoStreamModel(TINY, seed=1)
         with pytest.raises(DimensionError):
             m.forward(np.zeros((2, 1, 9, 9)))
 
@@ -117,7 +117,7 @@ def _layers(obj):
 class TestNoPerCallState:
     """A forward pass returns its tape; the model and its layers keep nothing."""
 
-    @pytest.mark.parametrize("build", [build_two_stream, build_baseline])
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
     def test_forward_leaves_every_layer_unchanged(self, build):
         m = build(TINY, seed=1)
         before = [(layer, dict(vars(layer))) for layer in _layers(m)]
@@ -130,7 +130,7 @@ class TestNoPerCallState:
                 assert now.keys() == attrs.keys(), type(layer).__name__
                 assert all(now[k] is v for k, v in attrs.items()), type(layer).__name__
 
-    @pytest.mark.parametrize("build", [build_two_stream, build_baseline])
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
     def test_backward_uses_only_its_tape(self, build):
         rng = np.random.default_rng(9)
         first, second = rng.normal(size=(2, 3, 1, 8, 8))
@@ -147,7 +147,7 @@ class TestNoPerCallState:
             np.testing.assert_array_equal(a, b)
 
     def test_models_share_one_base(self):
-        for build, heads in ((build_two_stream, ("ce", "msml", "fce")), (build_baseline, ("ce",))):
+        for build, heads in ((TwoStreamModel, ("ce", "msml", "fce")), (BaselineModel, ("ce",))):
             m = build(TINY, seed=1)
             assert isinstance(m, Model)
             assert m.heads == heads and m.primary_head == heads[-1]
@@ -210,7 +210,7 @@ class TestLrSchedule:
 
 class TestPredict:
     def test_zero_logits_give_half(self):
-        m = build_two_stream(TINY, seed=1)
+        m = TwoStreamModel(TINY, seed=1)
         for layer in (m.head_ce, m.head_msml, m.proj, m.cls):
             layer.w[...] = 0.0
             layer.b[...] = 0.0
@@ -219,7 +219,7 @@ class TestPredict:
             np.testing.assert_array_equal(probs[head], np.full((3, 4), 0.5))
 
     def test_monotone_in_logits(self):
-        m = build_two_stream(TINY, seed=2)
+        m = TwoStreamModel(TINY, seed=2)
         rng = np.random.default_rng(5)
         batch = rng.normal(size=(4, 1, 8, 8))
         out = m.forward(batch)
@@ -230,7 +230,7 @@ class TestPredict:
         assert (probs["ce"] > 0).all() and (probs["ce"] < 1).all()
 
     def test_shapes_per_head(self):
-        m = build_baseline(TINY, seed=1)
+        m = BaselineModel(TINY, seed=1)
         probs = predict(m, np.zeros((6, 1, 8, 8)))
         assert set(probs) == {"ce"}
         assert probs["ce"].shape == (6, 4)
@@ -260,7 +260,7 @@ class TestEnsembleFuse:
 
 class TestCheckpoints:
     def test_round_trip_parameters(self, tmp_path):
-        m = build_two_stream(TINY, seed=9)
+        m = TwoStreamModel(TINY, seed=9)
         path = tmp_path / "model.ckpt"
         save_checkpoint(m, path)
         back = model_from_checkpoint(path)
@@ -271,7 +271,7 @@ class TestCheckpoints:
             np.testing.assert_array_equal(value, orig[name])
 
     def test_baseline_round_trip(self, tmp_path):
-        m = build_baseline(TINY, seed=9)
+        m = BaselineModel(TINY, seed=9)
         path = tmp_path / "b.ckpt"
         save_checkpoint(m, path)
         back = model_from_checkpoint(path)
@@ -281,13 +281,13 @@ class TestCheckpoints:
         np.testing.assert_array_equal(out_a.logits_ce, out_b.logits_ce)
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        m = build_two_stream(TINY, seed=9)
+        m = TwoStreamModel(TINY, seed=9)
         save_checkpoint(m, tmp_path / "a.ckpt")
         save_checkpoint(m, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_magic_and_class_count(self, tmp_path):
-        m = build_two_stream(TINY, seed=9)
+        m = TwoStreamModel(TINY, seed=9)
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)
         blob = path.read_bytes()
@@ -298,7 +298,7 @@ class TestCheckpoints:
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_two_stream(TINY, seed=9), path)
+        save_checkpoint(TwoStreamModel(TINY, seed=9), path)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -308,7 +308,7 @@ class TestCheckpoints:
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_two_stream(TINY, seed=9), path)
+        save_checkpoint(TwoStreamModel(TINY, seed=9), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):

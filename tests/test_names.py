@@ -4,7 +4,9 @@ A name used but never imported or defined (say ``os.replace`` without
 ``import os``) only fails when its line runs; the first guard finds it from
 the symbol tables alone, without running the code. The second keeps every
 ``forward`` free of per-call state: a forward pass returns its caches and
-never stores them on ``self``, so one model can run on several threads.
+never stores them on ``self``, so one model can run on several threads. The
+third finds dead code: a public function, class or method that nothing in the
+package, its tests or its benchmark refers to.
 """
 
 import ast
@@ -14,6 +16,8 @@ import symtable
 from pathlib import Path
 
 import msml
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MODULE_ATTRS = {"__name__", "__file__", "__doc__", "__package__", "__spec__",
                 "__loader__", "__path__", "__builtins__"}
@@ -82,3 +86,48 @@ def test_no_forward_stores_state_on_self():
         path = Path(msml.__path__[0]) / f"{info.name}.py"
         found += [(info.name, *hit) for hit in forwards_storing_on_self(path.read_text())]
     assert found == []
+
+
+def public_defs(source):
+    """(qualified name, name) of each public top-level def or class and public method."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def references(source):
+    """Every name ``source`` uses, imports or spells out as a whole string literal."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name.rpartition(".")[2], node.asname}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_dead_code_guard_flags_unreferenced_public_names():
+    source = ("def used():\n    pass\n\ndef unused():\n    pass\n\ndef _private():\n    pass\n\n"
+              "class K:\n    def run(self):\n        pass\n\n    def idle(self):\n        pass\n")
+    user = "from m import used as u\ngetattr(K(), 'run')()\n"
+    used = references(source) | references(user)
+    assert [q for q, name in public_defs(source) if name not in used] == ["unused", "K.idle"]
+
+
+def test_every_public_name_is_referenced():
+    package = sorted(Path(msml.__path__[0]).glob("*.py"))
+    used = set()
+    for path in package + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        used |= references(path.read_text())
+    unreferenced = [(path.stem, qual) for path in package
+                    for qual, name in public_defs(path.read_text()) if name not in used]
+    assert unreferenced == []

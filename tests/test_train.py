@@ -6,7 +6,7 @@ import pytest
 from msml import dataset as ds
 from msml.errors import ConfigError, NumericalError
 from msml.losses import LossWeights
-from msml.model import BackboneConfig, ModelConfig, build_baseline, build_two_stream, lr_schedule
+from msml.model import BackboneConfig, BaselineModel, ModelConfig, TwoStreamModel, lr_schedule
 from msml.train import FoldData, eval_total_loss, score_fold, train
 
 CFG = ModelConfig(
@@ -44,7 +44,7 @@ class TestSmoke:
         tiny = FoldData(folds["train"].images[:8], folds["train"].labels[:8])
         wins = 0
         for seed in range(5):
-            model = build_two_stream(CFG, seed=seed)
+            model = TwoStreamModel(CFG, seed=seed)
             before = eval_total_loss(model, tiny)
             history = train(model, tiny, tiny, strategy="global", epochs=1,
                             batch_size=8, seed=seed, initial_lr=1e-3)
@@ -53,7 +53,7 @@ class TestSmoke:
         assert wins >= 4
 
     def test_history_length_and_lr_schedule(self, folds):
-        model = build_two_stream(CFG, seed=0)
+        model = TwoStreamModel(CFG, seed=0)
         history = train(model, folds["train"], folds["val"], strategy="global",
                         epochs=4, seed=0)
         assert len(history) == 4
@@ -62,7 +62,7 @@ class TestSmoke:
             assert h.lr == lr_schedule(1e-4, h.epoch)
 
     def test_baseline_trains_and_logs_only_ce(self, folds):
-        model = build_baseline(CFG, seed=1)
+        model = BaselineModel(CFG, seed=1)
         history = train(model, folds["train"], folds["val"], epochs=1, seed=1)
         assert history[0].alpha_msml == 0.0
         assert history[0].beta_fce == 0.0
@@ -72,7 +72,7 @@ class TestSmoke:
 class TestDeterminism:
     def test_identical_runs_bit_identical_params(self, folds):
         def run():
-            model = build_two_stream(CFG, seed=4, loss_weights=LossWeights())
+            model = TwoStreamModel(CFG, seed=4, loss_weights=LossWeights())
             train(model, folds["train"], folds["val"], strategy="global", epochs=2, seed=4)
             return snapshot(model)
 
@@ -81,7 +81,7 @@ class TestDeterminism:
             np.testing.assert_array_equal(a[name], b[name], err_msg=name)
 
     def test_score_fold_independent_of_thread_count(self, folds, monkeypatch):
-        model = build_two_stream(CFG, seed=4)
+        model = TwoStreamModel(CFG, seed=4)
         monkeypatch.setenv("MSML_THREADS", "1")
         one = score_fold(model, folds["val"])
         monkeypatch.setenv("MSML_THREADS", "3")
@@ -92,7 +92,7 @@ class TestDeterminism:
 
 class TestSymmetryBreaking:
     def test_streams_diverge_after_one_global_epoch(self, folds):
-        model = build_two_stream(CFG, seed=6)
+        model = TwoStreamModel(CFG, seed=6)
         train(model, folds["train"], folds["val"], strategy="global", epochs=1, seed=6)
         diffs = [
             np.abs(a[1] - b[1]).max()
@@ -103,7 +103,7 @@ class TestSymmetryBreaking:
 
 class TestStrategies:
     def test_local_fixed_freezes_everything_but_bilinear_head(self, folds):
-        model = build_two_stream(CFG, seed=8)
+        model = TwoStreamModel(CFG, seed=8)
         boundary = {}
 
         def capture(phase_index, m):
@@ -120,7 +120,7 @@ class TestStrategies:
         assert any(not np.array_equal(final[n], boundary[n]) for n in moved)
 
     def test_local_phase_one_leaves_bilinear_head_untouched(self, folds):
-        model = build_two_stream(CFG, seed=9)
+        model = TwoStreamModel(CFG, seed=9)
         before = snapshot(model, ("bilinear.",))
         seen = {}
 
@@ -137,7 +137,7 @@ class TestStrategies:
         assert any(not np.array_equal(after[n], before[n]) for n in after)
 
     def test_local_phase_two_updates_backbones(self, folds):
-        model = build_two_stream(CFG, seed=10)
+        model = TwoStreamModel(CFG, seed=10)
         boundary = {}
 
         def capture(phase_index, m):
@@ -152,7 +152,7 @@ class TestStrategies:
 
 class TestFailureModes:
     def test_nan_input_raises_numerical_error(self, folds):
-        model = build_two_stream(CFG, seed=11)
+        model = TwoStreamModel(CFG, seed=11)
         poisoned = FoldData(folds["train"].images[:8].copy(), folds["train"].labels[:8])
         poisoned.images[0] = np.nan  # survives any crop window
         with pytest.raises(NumericalError) as err:
@@ -161,12 +161,12 @@ class TestFailureModes:
         assert err.value.step == 0
 
     def test_empty_fold_rejected(self, folds):
-        model = build_two_stream(CFG, seed=12)
+        model = TwoStreamModel(CFG, seed=12)
         empty = FoldData(folds["train"].images[:0], folds["train"].labels[:0])
         with pytest.raises(Exception, match="nonempty"):
             train(model, empty, folds["val"], epochs=1, seed=12)
 
     def test_unknown_strategy_rejected_for_baseline(self, folds):
-        model = build_baseline(CFG, seed=13)
+        model = BaselineModel(CFG, seed=13)
         with pytest.raises(ConfigError, match="bogus"):
             train(model, folds["train"], folds["val"], strategy="bogus", epochs=1, seed=13)
