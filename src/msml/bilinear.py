@@ -5,8 +5,8 @@ location, averaged over locations and vectorized row-major; then elementwise
 signed square root; then L2 normalization; then an affine projection (the
 1x1-conv equivalent on a pooled vector) and an affine classifier.
 
-Single-sample functions operate on (d, H, W) maps; ``*_batch`` variants on
-(N, d, H, W). Backward passes mirror the forwards exactly.
+Every function takes a batch: (N, d, H, W) maps or (N, D) vectors. Backward
+passes mirror the forwards exactly.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ SIGNED_SQRT_EPS = 1e-8
 L2_NORM_EPS = 1e-12
 
 
-def bilinear_pool(f1, f2):
-    """Average over locations of vec(f1_{ij} outer f2_{ij}), row-major."""
-    out = bilinear_pool_batch(np.asarray(f1)[None], np.asarray(f2)[None])
-    return out[0]
-
-
 def bilinear_pool_batch(f1, f2):
+    """Average over locations of vec(f1_{ij} outer f2_{ij}), row-major, per sample."""
     f1 = np.asarray(f1, dtype=FLOAT)
     f2 = np.asarray(f2, dtype=FLOAT)
     if f1.ndim != 4 or f2.ndim != 4:
@@ -66,12 +61,8 @@ def signed_sqrt_backward(dout, v):
     return np.asarray(dout, dtype=FLOAT) / (2.0 * np.sqrt(np.abs(v)) + SIGNED_SQRT_EPS)
 
 
-def l2_normalize(v):
-    """v / max(||v||_2, eps); the zero vector maps to itself."""
-    return l2_normalize_batch(np.asarray(v)[None])[0][0]
-
-
 def l2_normalize_batch(v):
+    """Each row v / max(||v||_2, eps), with the norms; a zero row maps to itself."""
     v = np.asarray(v, dtype=FLOAT)
     norms = np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), L2_NORM_EPS)
     return v / norms, norms
@@ -85,17 +76,11 @@ def l2_normalize_backward(dout, v, norms):
     return (dout - u * proj) / norms
 
 
-def bilinear_head(f1, f2, proj_w, proj_b, cls_w, cls_b):
+def bilinear_head_batch(f1, f2, proj_w, proj_b, cls_w, cls_b):
     """Full chain pool -> signed sqrt -> l2 norm -> projection -> classifier.
 
-    Returns (logits, cache) for single-sample (d, H, W) maps; the cache feeds
-    ``bilinear_head_backward``.
+    Returns (logits, cache); the cache feeds ``bilinear_head_backward``.
     """
-    out, cache = bilinear_head_batch(np.asarray(f1)[None], np.asarray(f2)[None], proj_w, proj_b, cls_w, cls_b)
-    return out[0], cache
-
-
-def bilinear_head_batch(f1, f2, proj_w, proj_b, cls_w, cls_b):
     f1 = np.asarray(f1, dtype=FLOAT)
     f2 = np.asarray(f2, dtype=FLOAT)
     v = bilinear_pool_batch(f1, f2)

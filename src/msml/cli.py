@@ -157,7 +157,10 @@ def cmd_eval(args) -> int:
     if args.split not in folds:
         raise ConfigError(f"unknown split {args.split!r}; have {sorted(folds)}")
     fold = folds[args.split]
-    scores = score_fold(model, fold)
+    try:
+        scores = score_fold(model, fold)
+    except DataError as exc:
+        raise DataError(f"split {args.split!r}: {exc}") from exc
     if args.head == "fused":
         if "fce" not in scores:
             raise ConfigError("fused head needs a two-stream checkpoint with an fce head")
@@ -184,10 +187,9 @@ def cmd_gradcheck(args) -> int:
     scopes = SCOPES if args.scope == "all" else (args.scope,)
     all_ok = True
     for scope in scopes:
-        errs, ok = run_scope(scope, perturb=args.perturb)
-        all_ok &= ok
-        for name, err in errs.items():
+        for name, err in run_scope(scope, perturb=args.perturb).items():
             status = "ok" if err <= TOLERANCES[name] else "FAIL"
+            all_ok &= status == "ok"
             print(f"{scope:10s} {name:16s} max rel err {err:.3e}  (tol {TOLERANCES[name]:.0e})  {status}")
     return 0 if all_ok else 1
 

@@ -240,11 +240,6 @@ def normalize(images_by_fold: dict, train_fold: str = "train"):
     return out, (mean, std)
 
 
-def random_crop(image, out_size, training, seed=0):
-    """Crop one (channels, H, W) image: random offset in training, center in eval."""
-    return crop_batch(np.asarray(image)[None], out_size, training, np.random.default_rng(seed))[0]
-
-
 def crop_batch(images, out_size, training, rng=None):
     """Crop a batch with per-sample random offsets (training) or center (eval)."""
     images = np.asarray(images)

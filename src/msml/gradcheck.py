@@ -1,14 +1,20 @@
 """Central finite-difference verification of every analytic gradient.
 
-Scalar objectives are built by contracting op outputs with a fixed random
-weighting, so backward passes can be compared against numerical derivatives
-of the same scalar. The error measure is the max-norm relative error
-``max|a - n| / max(max|a|, max|n|, 1e-8)`` per gradient tensor.
+``CASES`` maps each scope (layers, losses, bilinear, model) to its cases, and
+each case to its number of draws and a ``draw(rng, i)`` that returns the
+arrays to differentiate, a scalar objective of them and the analytic
+gradients. Op objectives contract the op's output with a random weighting;
+loss objectives are the (N, C) batch losses the training step calls; the
+model objective is the composite loss at one parameter coordinate of a
+miniature two-stream model, in eval mode for the first half of the draws and
+in training mode, with a fixed dropout mask, for the second half.
 
-``run_scope`` drives the four suites (layers, losses, bilinear, model) and
-is what the CLI and the acceptance tests call. ``perturb`` injects a bias
-into every analytic gradient; it exists so the harness can prove it would
-catch a wrong gradient.
+The error of a draw is the max-norm relative error
+``max|a - n| / max(max|a|, max|n|, 1e-8)``, worst over its gradient tensors.
+``check_case`` scores one draw and ``run_scope`` the worst draw of each case
+of a scope; the CLI and the tests call only these two. ``perturb`` injects a
+bias into every analytic gradient; it exists so the harness can prove it
+would catch a wrong gradient.
 """
 
 from __future__ import annotations
@@ -17,20 +23,19 @@ import numpy as np
 
 from . import bilinear as bl
 from . import ops
-from .losses import msml, sigmoid_bce, total_loss
+from .losses import msml_batch, sigmoid_bce_batch, total_loss
 from .model import BackboneConfig, ModelConfig, TwoStreamModel
 from .train import _losses_and_grads
 
 STEP = 1e-5
 
-# op name -> relative error tolerance
+# case name -> relative error tolerance
 TOLERANCES = {
     "affine": 1e-6,
     "conv2d": 1e-6,
     "maxpool2d": 1e-6,
     "relu": 1e-6,
     "dropout": 1e-6,
-    "sigmoid": 1e-6,
     "sigmoid_bce": 1e-6,
     "msml": 1e-6,
     "bilinear_pool": 1e-6,
@@ -40,22 +45,20 @@ TOLERANCES = {
     "model": 1e-4,
 }
 
-SCOPES = ("layers", "losses", "bilinear", "model")
 
-
-def numerical_gradient(f, x, step=STEP):
+def numerical_gradient(f, x):
     """Central differences of scalar ``f()`` w.r.t. ``x``, mutated in place."""
     grad = np.zeros_like(x, dtype=np.float64)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         old = flat[i]
-        flat[i] = old + step
+        flat[i] = old + STEP
         fp = f()
-        flat[i] = old - step
+        flat[i] = old - STEP
         fm = f()
         flat[i] = old
-        gflat[i] = (fp - fm) / (2.0 * step)
+        gflat[i] = (fp - fm) / (2.0 * STEP)
     return grad
 
 
@@ -66,215 +69,122 @@ def rel_error(analytic, numeric):
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
-def _merge(errs, name, value):
-    errs[name] = max(errs.get(name, 0.0), value)
+def _contracted(rng, forward, backward, *arrays):
+    """The objective sum(forward(*arrays)[0] * r) for a random r, with the
+    gradients ``backward(r, cache)`` gives for it."""
+    out, cache = forward(*arrays)
+    r = rng.normal(size=out.shape)
+    grads = backward(r, cache)
+    if not isinstance(grads, tuple):
+        grads = (grads,)
+    return arrays, lambda: float(np.sum(forward(*arrays)[0] * r)), grads
 
 
-# ---------------------------------------------------------------------------
-# layer ops
-# ---------------------------------------------------------------------------
+def _batch_loss(loss):
+    """Draws of ``loss`` on (N, C) batches, N = 1-4; a row may have no
+    positive or no negative."""
 
-def check_layers(seeds=20, perturb=0.0):
-    errs = {}
-    for seed in range(seeds):
-        rng = np.random.default_rng([914, seed])
+    def draw(rng, i):
+        n, c = int(rng.integers(1, 5)), int(rng.integers(2, 10))
+        x = rng.normal(scale=2.0, size=(n, c))
+        y = rng.integers(0, 2, size=(n, c))
+        return (x,), lambda: loss(x, y)[0], (loss(x, y)[1],)
 
-        # affine: gradients w.r.t. input, weight, and bias
-        x = rng.normal(size=(3, 4))
-        w = rng.normal(size=(4, 5))
-        b = rng.normal(size=5)
-        r = rng.normal(size=(3, 5))
-        out, cache = ops.affine_forward(x, w, b)
-        dx, dw, db = ops.affine_backward(r, cache)
-        for a, arr in ((dx, x), (dw, w), (db, b)):
-            n = numerical_gradient(lambda: float(np.sum(ops.affine_forward(x, w, b)[0] * r)), arr)
-            _merge(errs, "affine", rel_error(a + perturb, n))
-
-        # conv2d at kernel sizes 1, 3 and 5
-        ksize = (1, 3, 5)[seed % 3]
-        x = rng.normal(size=(2, 2, 5, 4))
-        k = rng.normal(size=(3, 2, ksize, ksize))
-        out, cache = ops.conv2d_forward(x, k)
-        r = rng.normal(size=out.shape)
-        dx, dk = ops.conv2d_backward(r, cache)
-        for a, arr in ((dx, x), (dk, k)):
-            n = numerical_gradient(lambda: float(np.sum(ops.conv2d_forward(x, k)[0] * r)), arr)
-            _merge(errs, "conv2d", rel_error(a + perturb, n))
-
-        # maxpool2d on even and odd extents
-        x = rng.normal(size=(2, 2, 6 + seed % 2, 6 + seed % 2))
-        out, cache = ops.maxpool2d_forward(x)
-        r = rng.normal(size=out.shape)
-        a = ops.maxpool2d_backward(r, cache)
-        n = numerical_gradient(lambda: float(np.sum(ops.maxpool2d_forward(x)[0] * r)), x)
-        _merge(errs, "maxpool2d", rel_error(a + perturb, n))
-
-        # relu
-        x = rng.normal(size=(4, 7))
-        out, mask = ops.relu_forward(x)
-        r = rng.normal(size=out.shape)
-        a = ops.relu_backward(r, mask)
-        n = numerical_gradient(lambda: float(np.sum(ops.relu_forward(x)[0] * r)), x)
-        _merge(errs, "relu", rel_error(a + perturb, n))
-
-        # dropout with a fixed mask seed
-        x = rng.normal(size=(5, 6))
-        r = rng.normal(size=x.shape)
-        out, cache = ops.dropout_forward(x, 0.5, True, [seed, 3])
-        a = ops.dropout_backward(r, cache)
-        n = numerical_gradient(
-            lambda: float(np.sum(ops.dropout_forward(x, 0.5, True, [seed, 3])[0] * r)), x
-        )
-        _merge(errs, "dropout", rel_error(a + perturb, n))
-
-        # sigmoid
-        x = rng.normal(size=(4, 5))
-        r = rng.normal(size=x.shape)
-        z = ops.sigmoid(x)
-        a = ops.sigmoid_backward(r, z)
-        n = numerical_gradient(lambda: float(np.sum(ops.sigmoid(x) * r)), x)
-        _merge(errs, "sigmoid", rel_error(a + perturb, n))
-    return errs
+    return draw
 
 
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-def _random_labels(rng, c):
-    """Binary labels with at least one positive and one negative."""
-    y = np.zeros(c, dtype=np.int8)
-    n_pos = int(rng.integers(1, c))
-    y[rng.choice(c, size=n_pos, replace=False)] = 1
-    return y
+def _l2_normalize(v):
+    u, norms = bl.l2_normalize_batch(v)
+    return u, (v, norms)
 
 
-def check_losses(cases=100, perturb=0.0):
-    errs = {}
-    for case in range(cases):
-        rng = np.random.default_rng([517, case])
-        c = int(rng.integers(2, 10))
-        x = rng.normal(scale=2.0, size=c)
-        y = _random_labels(rng, c)
-
-        _, a = sigmoid_bce(x, y)
-        n = numerical_gradient(lambda: sigmoid_bce(x, y)[0], x)
-        _merge(errs, "sigmoid_bce", rel_error(a + perturb, n))
-
-        _, a = msml(x, y)
-        n = numerical_gradient(lambda: msml(x, y)[0], x)
-        _merge(errs, "msml", rel_error(a + perturb, n))
-    return errs
-
-
-# ---------------------------------------------------------------------------
-# bilinear chain
-# ---------------------------------------------------------------------------
-
-def check_bilinear(seeds=20, perturb=0.0):
-    errs = {}
-    for seed in range(seeds):
-        rng = np.random.default_rng([312, seed])
-
-        f1 = rng.normal(size=(1, 3, 2, 2))
-        f2 = rng.normal(size=(1, 4, 2, 2))
-        r = rng.normal(size=(1, 12))
-        df1, df2 = bl.bilinear_pool_backward(r, f1, f2)
-        for a, arr in ((df1, f1), (df2, f2)):
-            n = numerical_gradient(lambda: float(np.sum(bl.bilinear_pool_batch(f1, f2) * r)), arr)
-            _merge(errs, "bilinear_pool", rel_error(a + perturb, n))
-
-        # signed sqrt away from the origin, where the epsilon smoothing is negligible
-        v = rng.uniform(0.1, 2.0, size=9) * rng.choice([-1.0, 1.0], size=9)
-        r = rng.normal(size=9)
-        a = bl.signed_sqrt_backward(r, v)
-        n = numerical_gradient(lambda: float(np.sum(bl.signed_sqrt(v) * r)), v)
-        _merge(errs, "signed_sqrt", rel_error(a + perturb, n))
-
-        v = rng.normal(size=(2, 7))
-        r = rng.normal(size=(2, 7))
-        _, norms = bl.l2_normalize_batch(v)
-        a = bl.l2_normalize_backward(r, v, norms)
-        n = numerical_gradient(lambda: float(np.sum(bl.l2_normalize_batch(v)[0] * r)), v)
-        _merge(errs, "l2_normalize", rel_error(a + perturb, n))
-
-        # full head chain; positive maps keep the pooled vector away from the
-        # signed-sqrt kink at zero
-        f1 = rng.uniform(0.5, 1.5, size=(1, 3, 2, 2))
-        f2 = rng.uniform(0.5, 1.5, size=(1, 3, 2, 2))
-        pw = rng.normal(size=(9, 6))
-        pb = rng.normal(size=6)
-        cw = rng.normal(size=(6, 4))
-        cb = rng.normal(size=4)
-        r = rng.normal(size=(1, 4))
-
-        def head_loss():
-            logits, _ = bl.bilinear_head_batch(f1, f2, pw, pb, cw, cb)
-            return float(np.sum(logits * r))
-
-        _, cache = bl.bilinear_head_batch(f1, f2, pw, pb, cw, cb)
-        grads = bl.bilinear_head_backward(r, cache)
-        for a, arr in zip(grads, (f1, f2, pw, pb, cw, cb)):
-            _merge(errs, "bilinear_head", rel_error(a + perturb, numerical_gradient(head_loss, arr)))
-    return errs
-
-
-# ---------------------------------------------------------------------------
-# whole model
-# ---------------------------------------------------------------------------
-
-def check_model(coords=10, perturb=0.0, seed=4):
-    """Composite-loss gradient at ``coords`` random parameter coordinates.
-
-    Uses a miniature configuration (8x8 input, two conv blocks, 4 classes) in
-    eval mode so the objective is deterministic.
-    """
-    rng = np.random.default_rng([777, seed])
-    cfg = ModelConfig(
-        num_classes=4,
-        input_size=(8, 8),
-        backbone=BackboneConfig(input_channels=1, conv_blocks=((4, 3, True), (6, 3, True))),
-        proj_width=5,
+def _bilinear_head(rng, i):
+    # positive maps keep the pooled vector away from the signed-sqrt kink at zero
+    return _contracted(
+        rng, bl.bilinear_head_batch, bl.bilinear_head_backward,
+        rng.uniform(0.5, 1.5, size=(1, 3, 2, 2)), rng.uniform(0.5, 1.5, size=(1, 3, 2, 2)),
+        rng.normal(size=(9, 6)), rng.normal(size=6), rng.normal(size=(6, 4)), rng.normal(size=4),
     )
-    model = TwoStreamModel(cfg, seed=seed)
-    batch = rng.normal(size=(2, 1, 8, 8))
-    labels = np.stack([_random_labels(rng, 4) for _ in range(2)])
-    w = model.loss_weights
 
-    def f():
-        out = model.forward(batch, training=False, seed=0)
-        (ce, ms, fce), _ = _losses_and_grads(out, labels, (), 0.0, 0.0)
+
+MODEL_DRAWS = 20
+_MODEL_CFG = ModelConfig(
+    num_classes=4,
+    input_size=(8, 8),
+    backbone=BackboneConfig(input_channels=1, conv_blocks=((4, 3, True), (6, 3, True))),
+    proj_width=5,
+)
+
+
+def _model(rng, i):
+    """Composite-loss gradient at one random parameter coordinate; draws in
+    the second half run in training mode with dropout mask seed ``i``."""
+    model = TwoStreamModel(_MODEL_CFG, seed=4)
+    batch = rng.normal(size=(2, 1, 8, 8))
+    labels = rng.integers(0, 2, size=(2, 4))
+    training = i >= MODEL_DRAWS // 2
+    w = model.loss_weights
+    out = model.forward(batch, training=training, seed=i)
+    model.backward(out.tape, *_losses_and_grads(out, labels, ("ce", "msml", "fce"), w.alpha, w.beta)[1])
+
+    def objective():
+        (ce, ms, fce), _ = _losses_and_grads(model.forward(batch, training, i), labels, (), 0.0, 0.0)
         return total_loss(ce, ms, fce, w)
 
-    out = model.forward(batch, training=False, seed=0)
-    _, grads = _losses_and_grads(out, labels, ("ce", "msml", "fce"), w.alpha, w.beta)
-    model.zero_grads()
-    model.backward(out.tape, *grads)
-
     params = model.params()
-    analytic = []
-    numeric = []
-    for _ in range(coords):
-        t = int(rng.integers(len(params)))
-        _, value, grad = params[t]
-        i = int(rng.integers(value.size))
-        analytic.append(grad.reshape(-1)[i])
-        numeric.append(numerical_gradient(f, value.reshape(-1)[i : i + 1])[0])
-    err = rel_error(np.asarray(analytic) + perturb, np.asarray(numeric))
-    return {"model": err}
+    _, value, grad = params[int(rng.integers(len(params)))]
+    j = int(rng.integers(value.size))
+    return (value.reshape(-1)[j : j + 1],), objective, (grad.reshape(-1)[j : j + 1],)
 
 
-def run_scope(scope, perturb=0.0, quick=False):
-    """Run one suite; returns (errors dict, pass flag)."""
-    if scope == "layers":
-        errs = check_layers(seeds=5 if quick else 20, perturb=perturb)
-    elif scope == "losses":
-        errs = check_losses(cases=20 if quick else 100, perturb=perturb)
-    elif scope == "bilinear":
-        errs = check_bilinear(seeds=5 if quick else 20, perturb=perturb)
-    elif scope == "model":
-        errs = check_model(coords=10, perturb=perturb)
-    else:
-        raise ValueError(f"unknown gradcheck scope {scope!r}; choose from {SCOPES}")
-    ok = all(err <= TOLERANCES[name] for name, err in errs.items())
-    return errs, ok
+# scope -> case name -> (number of draws, draw(rng, i))
+CASES = {
+    "layers": {
+        "affine": (20, lambda rng, i: _contracted(
+            rng, ops.affine_forward, ops.affine_backward,
+            rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5))),
+        # kernel sizes 1, 3 and 5
+        "conv2d": (20, lambda rng, i: _contracted(
+            rng, ops.conv2d_forward, ops.conv2d_backward,
+            rng.normal(size=(2, 2, 5, 4)), rng.normal(size=(3, 2, 1 + 2 * (i % 3), 1 + 2 * (i % 3))))),
+        # even and odd extents
+        "maxpool2d": (20, lambda rng, i: _contracted(
+            rng, ops.maxpool2d_forward, ops.maxpool2d_backward, rng.normal(size=(2, 2, 6 + i % 2, 5 - i % 2)))),
+        "relu": (20, lambda rng, i: _contracted(rng, ops.relu_forward, ops.relu_backward, rng.normal(size=(4, 7)))),
+        "dropout": (20, lambda rng, i: _contracted(
+            rng, lambda x: ops.dropout_forward(x, 0.5, True, [i, 3]), ops.dropout_backward,
+            rng.normal(size=(5, 6)))),
+    },
+    "losses": {
+        "sigmoid_bce": (100, _batch_loss(sigmoid_bce_batch)),
+        "msml": (100, _batch_loss(msml_batch)),
+    },
+    "bilinear": {
+        "bilinear_pool": (20, lambda rng, i: _contracted(
+            rng, lambda f1, f2: (bl.bilinear_pool_batch(f1, f2), (f1, f2)),
+            lambda r, maps: bl.bilinear_pool_backward(r, *maps),
+            rng.normal(size=(1, 3, 2, 2)), rng.normal(size=(1, 4, 2, 2)))),
+        # away from the origin, where the epsilon smoothing is negligible
+        "signed_sqrt": (20, lambda rng, i: _contracted(
+            rng, lambda v: (bl.signed_sqrt(v), v), bl.signed_sqrt_backward,
+            rng.uniform(0.1, 2.0, size=9) * rng.choice([-1.0, 1.0], size=9))),
+        "l2_normalize": (20, lambda rng, i: _contracted(
+            rng, _l2_normalize, lambda r, cache: bl.l2_normalize_backward(r, *cache), rng.normal(size=(2, 7)))),
+        "bilinear_head": (20, _bilinear_head),
+    },
+    "model": {"model": (MODEL_DRAWS, _model)},
+}
+
+SCOPES = tuple(CASES)
+
+
+def check_case(scope, name, i, perturb=0.0):
+    """Relative error of draw ``i`` of one case, worst over its gradient tensors."""
+    arrays, objective, grads = CASES[scope][name][1](np.random.default_rng([*name.encode(), i]), i)
+    return max(rel_error(g + perturb, numerical_gradient(objective, a)) for a, g in zip(arrays, grads))
+
+
+def run_scope(scope, perturb=0.0):
+    """Case name -> worst error over the case's draws, for every case of ``scope``."""
+    return {name: max(check_case(scope, name, i, perturb) for i in range(draws))
+            for name, (draws, _) in CASES[scope].items()}

@@ -423,6 +423,8 @@ def read_checkpoint(path):
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         count = int(np.prod(dims, dtype=np.int64)) if rank else 1
         data = np.frombuffer(take(8 * count, f"data of {name}"), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise FormatError(f"checkpoint tensor {name} holds a NaN or an infinity", offset=off - 8 * count)
         tensors[name] = data.reshape(dims).astype(FLOAT)
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes after last tensor", offset=off)

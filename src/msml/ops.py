@@ -1,10 +1,10 @@
 """Differentiable layer primitives on float64 numpy arrays.
 
-Every op comes as an explicit forward/backward pair (no taped autodiff).
-Forward returns ``(out, cache)``; backward consumes the upstream gradient and
-the cache and returns gradients for the forward inputs. All analytic
-gradients are finite-difference checked in the test suite and by
-``msml.gradcheck``.
+Every layer op comes as an explicit forward/backward pair (no taped
+autodiff). Forward returns ``(out, cache)``; backward consumes the upstream
+gradient and the cache and returns gradients for the forward inputs. All
+analytic gradients are finite-difference checked by ``msml.gradcheck``.
+``sigmoid`` is a forward only: the BCE gradient in logit space is z - y.
 """
 
 from __future__ import annotations
@@ -169,7 +169,3 @@ def sigmoid(x):
     x = _as_f64(x)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid_backward(dout, z):
-    return _as_f64(dout) * z * (1.0 - z)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import crop_batch
 from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
-from .losses import msml_batch, sigmoid_bce_batch, total_loss
+from .losses import msml_batch, sigmoid_bce_batch
 from .metrics import ScoreMatrix, macro_auc
 from .model import Adam, lr_schedule, predict
 
@@ -154,17 +154,6 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
     return history
 
 
-def eval_total_loss(model, fold: FoldData, crop_size=None):
-    """Composite loss over a fold in eval mode (center crops, no dropout)."""
-    crop_size = model.cfg.input_size[0] if crop_size is None else crop_size
-    xb = crop_batch(fold.images, crop_size, training=False)
-    out = model.forward(xb, training=False, seed=0)
-    (ce_val, ms_val, fce_val), _ = _losses_and_grads(out, fold.labels, (), 0.0, 0.0)
-    if model.kind == "baseline":
-        return ce_val
-    return total_loss(ce_val, ms_val, fce_val, model.loss_weights)
-
-
 def _num_threads():
     env = os.environ.get("MSML_THREADS", "").strip()
     if env:
@@ -182,6 +171,8 @@ def score_fold(model, fold: FoldData, crop_size=None, batch_size=64):
     (capped by MSML_THREADS); results are merged in batch order and are
     identical at any thread count.
     """
+    if len(fold) == 0:
+        raise DataError("cannot score an empty fold")
     crop_size = model.cfg.input_size[0] if crop_size is None else crop_size
     xb = crop_batch(fold.images, crop_size, training=False)
     batches = [xb[i : i + batch_size] for i in range(0, xb.shape[0], batch_size)]

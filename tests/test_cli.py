@@ -10,7 +10,7 @@ from msml import dataset as ds
 from msml.cli import ExperimentConfig, main
 from msml.errors import ConfigError
 from msml.metrics import MetricsReport, ScoreMatrix, build_report
-from msml.model import model_from_checkpoint, read_checkpoint
+from msml.model import model_from_checkpoint, read_checkpoint, save_checkpoint
 from msml.train import score_fold
 import msml.cli as cli_mod
 
@@ -228,7 +228,7 @@ class TestEval:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
 
-    @pytest.mark.parametrize("damage", ["label-2", "index-in-two-folds"])
+    @pytest.mark.parametrize("damage", ["label-2", "index-in-two-folds", "empty-test-fold"])
     def test_corrupt_dataset_exits_2(self, data_dir, trained_dir, tmp_path, capsys, damage):
         copy = tmp_path / "data"
         shutil.copytree(data_dir, copy)
@@ -238,7 +238,10 @@ class TestEval:
             (copy / "labels.csv").write_text("\n".join(lines) + "\n")
         else:
             folds = json.loads((copy / "splits.json").read_text())
-            folds["test"].append(folds["train"][0])
+            if damage == "index-in-two-folds":
+                folds["test"].append(folds["train"][0])
+            else:
+                folds["test"] = []
             (copy / "splits.json").write_text(json.dumps(folds))
         code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
                      "--data", str(copy), "--out", str(tmp_path / "r.json")])
@@ -255,6 +258,16 @@ class TestEval:
                      "--data", str(copy), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "splits.json is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_finite_checkpoint_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
+        model = model_from_checkpoint(trained_dir / "model.ckpt")
+        model.head_ce.w[0, 0] = np.nan
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(data_dir), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "head_ce.w holds a NaN" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
 

@@ -196,23 +196,23 @@ class TestCrop:
     def test_full_size_identity(self):
         rng = np.random.default_rng(0)
         img = rng.random((1, 8, 8))
-        np.testing.assert_array_equal(ds.random_crop(img, 8, training=True, seed=1), img)
+        np.testing.assert_array_equal(ds.crop_batch(img[None], 8, training=True, rng=np.random.default_rng(1))[0], img)
 
     def test_center_crop_offset(self):
         img = np.arange(32 * 32, dtype=np.float64).reshape(1, 32, 32)
-        out = ds.random_crop(img, 28, training=False)
+        out = ds.crop_batch(img[None], 28, training=False)[0]
         np.testing.assert_array_equal(out, img[:, 2:30, 2:30])
 
     def test_training_crops_reproducible(self):
         rng = np.random.default_rng(1)
         img = rng.random((1, 16, 16))
-        a = ds.random_crop(img, 12, training=True, seed=44)
-        b = ds.random_crop(img, 12, training=True, seed=44)
+        a = ds.crop_batch(img[None], 12, training=True, rng=np.random.default_rng(44))[0]
+        b = ds.crop_batch(img[None], 12, training=True, rng=np.random.default_rng(44))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_crop_too_large(self):
         with pytest.raises(DimensionError):
-            ds.random_crop(np.zeros((1, 8, 8)), 9, training=False)
+            ds.crop_batch(np.zeros((1, 1, 8, 8)), 9, training=False)
 
     def test_batch_crop_matches_shapes(self):
         rng = np.random.default_rng(2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msml.errors import ConfigError, DimensionError, FormatError
-from msml.gradcheck import check_model
+from msml.gradcheck import TOLERANCES, run_scope
 from msml.model import (
     Adam,
     BackboneConfig,
@@ -101,8 +101,7 @@ class TestForward:
             m.forward(np.zeros((2, 1, 9, 9)))
 
     def test_whole_model_gradient_check(self):
-        errs = check_model(coords=10)
-        assert errs["model"] <= 1e-4
+        assert run_scope("model")["model"] <= TOLERANCES["model"]
 
 
 def _layers(obj):
@@ -312,4 +311,13 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        m = TwoStreamModel(TINY, seed=9)
+        m.head_ce.w[1, 2] = bad
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        with pytest.raises(FormatError, match="head_ce.w holds a NaN or an infinity"):
             read_checkpoint(path)

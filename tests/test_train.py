@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from msml import dataset as ds
-from msml.errors import ConfigError, NumericalError
-from msml.losses import LossWeights
+from msml.errors import ConfigError, DataError, NumericalError
+from msml.losses import LossWeights, total_loss
 from msml.model import BackboneConfig, BaselineModel, ModelConfig, TwoStreamModel, lr_schedule
-from msml.train import FoldData, eval_total_loss, score_fold, train
+from msml.train import FoldData, _losses_and_grads, score_fold, train
 
 CFG = ModelConfig(
     num_classes=4,
@@ -42,14 +42,20 @@ def snapshot(model, names=None):
 class TestSmoke:
     def test_one_epoch_decreases_loss_in_most_seeds(self, folds):
         tiny = FoldData(folds["train"].images[:8], folds["train"].labels[:8])
+        crops = ds.crop_batch(tiny.images, CFG.input_size[0], training=False)
+
+        def eval_loss(model):
+            losses, _ = _losses_and_grads(model.forward(crops), tiny.labels, (), 0.0, 0.0)
+            return total_loss(*losses, model.loss_weights)
+
         wins = 0
         for seed in range(5):
             model = TwoStreamModel(CFG, seed=seed)
-            before = eval_total_loss(model, tiny)
+            before = eval_loss(model)
             history = train(model, tiny, tiny, strategy="global", epochs=1,
                             batch_size=8, seed=seed, initial_lr=1e-3)
             assert len(history) == 1
-            wins += eval_total_loss(model, tiny) < before
+            wins += eval_loss(model) < before
         assert wins >= 4
 
     def test_history_length_and_lr_schedule(self, folds):
@@ -165,6 +171,11 @@ class TestFailureModes:
         empty = FoldData(folds["train"].images[:0], folds["train"].labels[:0])
         with pytest.raises(Exception, match="nonempty"):
             train(model, empty, folds["val"], epochs=1, seed=12)
+
+    def test_empty_fold_scoring_rejected(self, folds):
+        empty = FoldData(folds["test"].images[:0], folds["test"].labels[:0])
+        with pytest.raises(DataError, match="empty fold"):
+            score_fold(TwoStreamModel(CFG, seed=12), empty)
 
     def test_unknown_strategy_rejected_for_baseline(self, folds):
         model = BaselineModel(CFG, seed=13)
