@@ -13,7 +13,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .losses import LossWeights, msml, sigmoid_bce, total_loss
-from .metrics import MetricsReport, ScoreMatrix, build_report, macro_auc, roc_auc, weighted_auc
+from .metrics import MetricsReport, ScoreMatrix, build_report, macro_auc, roc_auc
 from .model import (
     Adam,
     BackboneConfig,
@@ -63,5 +63,4 @@ __all__ = [
     "sigmoid_bce",
     "split",
     "total_loss",
-    "weighted_auc",
 ]

@@ -79,19 +79,20 @@ class ExperimentConfig:
         return self
 
 
-def load_folds(data_dir):
-    """Dataset folds, normalized with train-fold statistics."""
+def load_folds(data_dir, names=None):
+    """The named folds (all by default), normalized with train-fold statistics."""
     data_dir = Path(data_dir)
     if not (data_dir / "images.bin").exists():
         raise DataError(f"no dataset at {data_dir}")
     data = ds.load(data_dir)
     folds_idx = ds.load_splits(data_dir / "splits.json", len(data))
-    images = {name: data.images[idx] for name, idx in folds_idx.items()}
-    normed, _ = ds.normalize(images, "train")
-    folds = {
-        name: FoldData(normed[name], data.labels[idx].astype(np.float64))
-        for name, idx in folds_idx.items()
-    }
+    names = tuple(folds_idx) if names is None else names
+    for name in ("train", *names):
+        if name not in folds_idx:
+            raise DataError(f"{data_dir / 'splits.json'} has no fold {name!r}")
+    images = {name: data.images[folds_idx[name]] for name in names}
+    normed, _ = ds.normalize(images, data.images[folds_idx["train"]])
+    folds = {name: FoldData(normed[name], data.labels[folds_idx[name]].astype(np.float64)) for name in names}
     return folds, data.class_names
 
 
@@ -127,7 +128,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = ds.parse_fields(ExperimentConfig, Path(args.config).read_text())
-    folds, class_names = load_folds(cfg.dataset)
+    folds, class_names = load_folds(cfg.dataset, ("train", "val"))
     model = build_model_from_config(cfg, len(class_names), folds["train"].images.shape[1])
     history = train(
         model,
@@ -153,9 +154,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = model_from_checkpoint(args.checkpoint)
-    folds, class_names = load_folds(args.data)
-    if args.split not in folds:
-        raise ConfigError(f"unknown split {args.split!r}; have {sorted(folds)}")
+    folds, class_names = load_folds(args.data, (args.split,))
     fold = folds[args.split]
     try:
         scores = score_fold(model, fold)

@@ -227,11 +227,11 @@ def channel_stats(images):
     return mean, std
 
 
-def normalize(images_by_fold: dict, train_fold: str = "train"):
-    """Standardize every fold with the train fold's per-channel statistics."""
-    if train_fold not in images_by_fold or len(images_by_fold[train_fold]) == 0:
-        raise DataError(f"normalize: train fold {train_fold!r} is missing or empty")
-    mean, std = channel_stats(images_by_fold[train_fold])
+def normalize(images_by_fold: dict, train_images):
+    """Standardize each fold of the dict with the per-channel statistics of ``train_images``."""
+    if len(train_images) == 0:
+        raise DataError("normalize: the train fold is empty")
+    mean, std = channel_stats(train_images)
     denom = np.maximum(std, 1e-6)
     out = {}
     for name, imgs in images_by_fold.items():

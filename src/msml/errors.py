@@ -36,7 +36,7 @@ class FormatError(MsmlError, ValueError):
 
 
 class UndefinedMetricError(MsmlError, ValueError):
-    """A metric is undefined for the given labels (e.g. a single-class column)."""
+    """A metric is undefined for the given data (a single-class column, a non-finite score)."""
 
 
 class NumericalError(MsmlError, ArithmeticError):

@@ -3,16 +3,18 @@ disease-vs-disease / disease-vs-normal aggregates.
 
 ``roc_auc`` is the Mann-Whitney statistic computed by rank sum with average
 ranks on ties, so it equals the brute-force pairwise count
-(#concordant + 0.5 * #tied) / (#pos * #neg) exactly, not just approximately.
-Per-class AUCs that are undefined (a column with a single class) are skipped
-from aggregates with a warning and reported as nulls.
+(#concordant + 0.5 * #tied) / (#pos * #neg) exactly; a NaN or infinite score
+makes it undefined. ``build_report``, which ``msml eval`` writes, is the one
+implementation of the aggregates. An undefined per-class AUC (a single-class
+column or a non-finite score) is skipped from them, and an undefined value is
+reported as null, each with a warning that names it.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,6 +48,8 @@ class ScoreMatrix:
 
 @dataclass
 class MetricsReport:
+    """Every metric of one scored split; ``MetricsReport(**json.loads(text))`` reads it back."""
+
     per_class_auc: list  # one entry per class, None where undefined
     macro_auc: float | None
     w_auc: float | None
@@ -55,29 +59,7 @@ class MetricsReport:
     skipped_classes: dict
 
     def to_json(self) -> str:
-        payload = {
-            "per_class_auc": self.per_class_auc,
-            "macro_auc": self.macro_auc,
-            "w_auc": self.w_auc,
-            "d_auc": self.d_auc,
-            "n_auc": self.n_auc,
-            "class_weights": self.class_weights,
-            "skipped_classes": self.skipped_classes,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        d = json.loads(text)
-        return cls(
-            per_class_auc=d["per_class_auc"],
-            macro_auc=d["macro_auc"],
-            w_auc=d["w_auc"],
-            d_auc=d["d_auc"],
-            n_auc=d["n_auc"],
-            class_weights=d["class_weights"],
-            skipped_classes=d["skipped_classes"],
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _average_ranks(values):
@@ -105,6 +87,8 @@ def roc_auc(scores, labels):
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise DimensionError.mismatch("scores vs labels", scores.shape, labels.shape)
+    if not np.isfinite(scores).all():
+        raise UndefinedMetricError("roc_auc needs finite scores, got a NaN or an infinity")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = scores.size - n_pos
@@ -124,8 +108,8 @@ def per_class_auc(sm: ScoreMatrix):
     for c in range(sm.num_classes):
         try:
             values.append(roc_auc(sm.scores[:, c], sm.labels[:, c]))
-        except UndefinedMetricError:
-            warnings.warn(f"AUC undefined for {sm.class_names[c]}; skipping", stacklevel=2)
+        except UndefinedMetricError as exc:
+            warnings.warn(f"AUC undefined for {sm.class_names[c]} ({exc}); skipping", stacklevel=2)
             values.append(None)
             skipped.append(c)
     return values, skipped
@@ -139,7 +123,7 @@ def macro_auc(sm: ScoreMatrix):
 def _mean_defined(values):
     defined = [v for v in values if v is not None]
     if not defined:
-        raise UndefinedMetricError("macro_auc: no class has both positives and negatives")
+        raise UndefinedMetricError("no class has both positives and negatives")
     return float(np.mean(defined))
 
 
@@ -148,104 +132,72 @@ def class_pos_weights(labels):
     pos_counts = np.asarray(labels).sum(axis=0).astype(FLOAT)
     total = pos_counts.sum()
     if total == 0:
-        raise UndefinedMetricError("weighted_auc: no positive labels at all")
+        raise UndefinedMetricError("no positive labels at all")
     return pos_counts / total
 
 
-def weighted_auc(sm: ScoreMatrix):
-    """Prevalence-weighted mean AUC; weights renormalized over defined classes."""
-    return _weighted_mean(per_class_auc(sm)[0], sm.labels)
-
-
 def _weighted_mean(values, labels):
+    """Prevalence-weighted mean AUC; weights renormalized over defined classes."""
     weights = class_pos_weights(labels)
     mask = np.array([v is not None for v in values])
     w = weights[mask]
     if w.sum() == 0:
-        raise UndefinedMetricError("weighted_auc: no defined class carries positive weight")
+        raise UndefinedMetricError("no defined class carries positive weight")
     vals = np.array([v for v in values if v is not None], dtype=FLOAT)
     return float(np.dot(w, vals) / w.sum())
 
 
-def disease_vs_disease_auc(sm: ScoreMatrix):
-    """Mean per-class AUC restricted to samples with at least one positive label."""
-    return macro_auc(_diseased(sm))
+def _disease_vs_disease(sm: ScoreMatrix, skipped_classes):
+    """Mean per-class AUC over the samples with a positive label; the classes
+    undefined there go, unwarned, to ``skipped_classes["d_auc"]`` if the mean is defined."""
+    any_pos = sm.labels.sum(axis=1) > 0
+    if not any_pos.any():
+        raise UndefinedMetricError("no sample has a positive label")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        values, skipped = per_class_auc(ScoreMatrix(sm.scores[any_pos], sm.labels[any_pos], sm.class_names))
+    mean = _mean_defined(values)
+    skipped_classes["d_auc"] = skipped
+    return mean
 
 
-def _diseased(sm: ScoreMatrix):
-    any_pos = np.asarray(sm.labels).sum(axis=1) > 0
-    sub = ScoreMatrix(sm.scores[any_pos], sm.labels[any_pos], sm.class_names)
-    if sub.scores.shape[0] == 0:
-        raise UndefinedMetricError("d_auc: no sample has a positive label")
-    return sub
-
-
-def normal_vs_disease_auc(sm: ScoreMatrix):
-    """Mean per-class AUC of class positives against strictly all-normal samples."""
-    labels = np.asarray(sm.labels)
-    normal = labels.sum(axis=1) == 0
+def _normal_vs_disease(sm: ScoreMatrix, classes):
+    """Mean over ``classes`` of the AUC of class positives against strictly all-normal samples."""
+    normal = sm.labels.sum(axis=1) == 0
     if not normal.any():
-        raise UndefinedMetricError("n_auc: no all-normal sample in the split")
+        raise UndefinedMetricError("no all-normal sample in the split")
     values = []
-    for c in range(sm.num_classes):
-        pos = labels[:, c] == 1
-        if not pos.any():
-            warnings.warn(f"n_auc undefined for {sm.class_names[c]}; skipping", stacklevel=2)
-            continue
+    for c in classes:
+        pos = sm.labels[:, c] == 1
         scores = np.concatenate([sm.scores[pos, c], sm.scores[normal, c]])
         ys = np.concatenate([np.ones(int(pos.sum())), np.zeros(int(normal.sum()))])
         values.append(roc_auc(scores, ys))
     if not values:
-        raise UndefinedMetricError("n_auc: no class has positive samples")
+        raise UndefinedMetricError("no class has positive samples")
     return float(np.mean(values))
+
+
+def _or_none(aggregate, compute):
+    """``compute()``, or None with a warning naming ``aggregate`` if it is undefined."""
+    try:
+        return compute()
+    except UndefinedMetricError as exc:
+        warnings.warn(f"{aggregate} undefined: {exc}", stacklevel=3)
+        return None
 
 
 def build_report(sm: ScoreMatrix) -> MetricsReport:
     """Assemble every metric; undefined aggregates become None with a warning."""
     values, skipped = per_class_auc(sm)
-    skipped_classes = {"per_class": skipped, "d_auc": [], "n_auc": []}
-
-    try:
-        macro = _mean_defined(values)
-    except UndefinedMetricError:
-        warnings.warn("macro_auc undefined: every class skipped", stacklevel=2)
-        macro = None
-
-    try:
-        w_auc_val = _weighted_mean(values, sm.labels)
-    except UndefinedMetricError as exc:
-        warnings.warn(f"w_auc undefined: {exc}", stacklevel=2)
-        w_auc_val = None
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            d_values, d_skipped = per_class_auc(_diseased(sm))
-        d_auc_val = _mean_defined(d_values)
-        skipped_classes["d_auc"] = d_skipped
-    except UndefinedMetricError as exc:
-        warnings.warn(f"d_auc undefined: {exc}", stacklevel=2)
-        d_auc_val = None
-
-    try:
-        n_auc_val = normal_vs_disease_auc(sm)
-    except UndefinedMetricError as exc:
-        warnings.warn(f"n_auc undefined: {exc}", stacklevel=2)
-        n_auc_val = None
-    labels = np.asarray(sm.labels)
-    skipped_classes["n_auc"] = [c for c in range(sm.num_classes) if labels[:, c].sum() == 0]
-
-    try:
-        weights = class_pos_weights(labels).tolist()
-    except UndefinedMetricError:
-        weights = [0.0] * sm.num_classes
-
+    has_pos = sm.labels.sum(axis=0) > 0
+    skipped_classes = {"per_class": skipped, "d_auc": [], "n_auc": np.flatnonzero(~has_pos).tolist()}
     return MetricsReport(
         per_class_auc=values,
-        macro_auc=macro,
-        w_auc=w_auc_val,
-        d_auc=d_auc_val,
-        n_auc=n_auc_val,
-        class_weights=weights,
+        macro_auc=_or_none("macro_auc", lambda: _mean_defined(values)),
+        w_auc=_or_none("w_auc", lambda: _weighted_mean(values, sm.labels)),
+        d_auc=_or_none("d_auc", lambda: _disease_vs_disease(sm, skipped_classes)),
+        n_auc=_or_none("n_auc", lambda: _normal_vs_disease(sm, np.flatnonzero(has_pos))),
+        class_weights=_or_none("class_weights", lambda: class_pos_weights(sm.labels).tolist())
+        or [0.0] * sm.num_classes,
         skipped_classes=skipped_classes,
     )

@@ -303,9 +303,9 @@ class BaselineModel(Model):
 # prediction and fusion
 # ---------------------------------------------------------------------------
 
-def predict(model, batch, batch_seed=0):
+def predict(model, batch):
     """Eval-mode per-head sigmoid probabilities, as a dict head -> (N, C)."""
-    out = model.forward(batch, training=False, seed=batch_seed)
+    out = model.forward(batch, training=False)
     probs = {}
     for head in model.heads:
         logits = getattr(out, f"logits_{head}")

@@ -33,6 +33,8 @@ STRATEGIES = ("global", "local", "local_fixed")
 
 HISTORY_COLUMNS = ("epoch", "lr", "alpha_ce", "alpha_msml", "beta_fce", "val_macro_auc")
 
+SCORE_BATCH = 64  # samples per forward pass when scoring a fold
+
 
 @dataclass
 class EpochStats:
@@ -164,7 +166,7 @@ def _num_threads():
     return os.cpu_count() or 1
 
 
-def score_fold(model, fold: FoldData, crop_size=None, batch_size=64):
+def score_fold(model, fold: FoldData, crop_size=None):
     """Eval-mode probabilities per head over a whole fold.
 
     Batches are pure forward passes, so they may run on a small thread pool
@@ -175,7 +177,7 @@ def score_fold(model, fold: FoldData, crop_size=None, batch_size=64):
         raise DataError("cannot score an empty fold")
     crop_size = model.cfg.input_size[0] if crop_size is None else crop_size
     xb = crop_batch(fold.images, crop_size, training=False)
-    batches = [xb[i : i + batch_size] for i in range(0, xb.shape[0], batch_size)]
+    batches = [xb[i : i + SCORE_BATCH] for i in range(0, xb.shape[0], SCORE_BATCH)]
 
     def run(batch):
         return predict(model, batch)

@@ -17,14 +17,7 @@ from msml import dataset as ds
 from msml.cli import main as cli_main
 from msml.gradcheck import TOLERANCES, run_scope
 from msml.losses import msml, sigmoid_bce
-from msml.metrics import (
-    ScoreMatrix,
-    disease_vs_disease_auc,
-    macro_auc,
-    normal_vs_disease_auc,
-    roc_auc,
-    weighted_auc,
-)
+from msml.metrics import ScoreMatrix, build_report, macro_auc, roc_auc
 from msml.model import BaselineModel, ModelConfig, TwoStreamModel, ensemble_fuse
 from msml.train import FoldData, score_fold, train
 
@@ -47,7 +40,7 @@ def default_data():
     data = ds.generate(spec)
     folds_idx = ds.split(data, ds.SplitSpec(seed=spec.seed))
     images = {k: data.images[v] for k, v in folds_idx.items()}
-    normed, _ = ds.normalize(images)
+    normed, _ = ds.normalize(images, images["train"])
     folds = {
         k: FoldData(normed[k], data.labels[folds_idx[k]].astype(np.float64))
         for k in folds_idx
@@ -157,7 +150,7 @@ def test_metric_oracle_equivalence():
     d_oracle = np.mean([
         brute_force_auc(six.scores[diseased, c], six.labels[diseased, c]) for c in (0, 1)
     ])
-    assert disease_vs_disease_auc(six) == d_oracle
+    assert build_report(six).d_auc == d_oracle
     normal = six.labels.sum(axis=1) == 0
     n_oracle = np.mean([
         brute_force_auc(
@@ -167,14 +160,14 @@ def test_metric_oracle_equivalence():
         )
         for c in (0, 1)
     ])
-    assert normal_vs_disease_auc(six) == n_oracle
+    assert build_report(six).n_auc == n_oracle
 
     w_fixture = ScoreMatrix(
         scores=np.array([[0.9, 0.4], [0.8, 0.4], [0.7, 0.4],
                          [0.2, 0.4], [0.1, 0.4], [0.05, 0.4]]),
         labels=np.array([[1, 1], [1, 0], [1, 0], [0, 0], [0, 0], [0, 0]]),
     )
-    assert weighted_auc(w_fixture) == pytest.approx(0.875, abs=1e-15)
+    assert build_report(w_fixture).w_auc == pytest.approx(0.875, abs=1e-15)
     report("metric oracle equivalence", True,
            f"1000 tie-heavy instances exact, D={d_oracle:.4f}, N={n_oracle:.4f}, W=0.875")
 

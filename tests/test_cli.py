@@ -186,7 +186,7 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
                      "--data", str(data_dir), "--split", "test",
                      "--head", "fce", "--out", str(report_path)]) == 0
-        report = MetricsReport.from_json(report_path.read_text())
+        report = MetricsReport(**json.loads(report_path.read_text()))
         assert (tmp_path / "report.json.config.txt").exists()
 
         # cross-check against an in-process recomputation
@@ -228,7 +228,8 @@ class TestEval:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
 
-    @pytest.mark.parametrize("damage", ["label-2", "index-in-two-folds", "empty-test-fold"])
+    @pytest.mark.parametrize("damage", ["label-2", "index-in-two-folds", "empty-test-fold",
+                                        "no-test-fold", "no-train-fold"])
     def test_corrupt_dataset_exits_2(self, data_dir, trained_dir, tmp_path, capsys, damage):
         copy = tmp_path / "data"
         shutil.copytree(data_dir, copy)
@@ -240,15 +241,25 @@ class TestEval:
             folds = json.loads((copy / "splits.json").read_text())
             if damage == "index-in-two-folds":
                 folds["test"].append(folds["train"][0])
-            else:
+            elif damage == "empty-test-fold":
                 folds["test"] = []
+            else:
+                del folds[damage.split("-")[1]]
             (copy / "splits.json").write_text(json.dumps(folds))
         code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
                      "--data", str(copy), "--out", str(tmp_path / "r.json")])
         assert code == 2
         err = capsys.readouterr().err
-        assert ("row 2" if damage == "label-2" else "'test'") in err
+        assert {"label-2": "row 2", "no-train-fold": "no fold 'train'"}.get(damage, "'test'") in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_loads_only_the_scored_split(self, data_dir):
+        every, names = cli_mod.load_folds(data_dir)
+        only, same_names = cli_mod.load_folds(data_dir, ("test",))
+        assert sorted(every) == ["test", "train", "val"] and list(only) == ["test"]
+        assert same_names == names
+        np.testing.assert_array_equal(only["test"].images, every["test"].images)
+        np.testing.assert_array_equal(only["test"].labels, every["test"].labels)
 
     def test_truncated_splits_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
         copy = tmp_path / "data"

@@ -166,7 +166,7 @@ class TestNormalize:
         data = ds.generate(small_spec())
         folds = ds.split(data, ds.SplitSpec(seed=2))
         images = {k: data.images[v] for k, v in folds.items()}
-        normed, (mean, std) = ds.normalize(images)
+        normed, (mean, std) = ds.normalize(images, images["train"])
         post_mean, post_std = ds.channel_stats(normed["train"])
         assert np.abs(post_mean).max() < 1e-10
         np.testing.assert_allclose(post_std, 1.0, atol=1e-6)
@@ -175,7 +175,7 @@ class TestNormalize:
         data = ds.generate(small_spec())
         folds = ds.split(data, ds.SplitSpec(seed=2))
         images = {k: data.images[v] for k, v in folds.items()}
-        normed, (mean, std) = ds.normalize(images)
+        normed, (mean, std) = ds.normalize(images, images["train"])
         expected = (images["test"].astype(np.float64) - mean[None, :, None, None]) / std[None, :, None, None]
         np.testing.assert_allclose(normed["test"], expected, atol=1e-12)
         post_mean, _ = ds.channel_stats(normed["test"])
@@ -183,13 +183,13 @@ class TestNormalize:
 
     def test_constant_channel_maps_to_zeros(self):
         images = {"train": np.full((5, 1, 4, 4), 0.3, dtype=np.float32)}
-        normed, _ = ds.normalize(images)
+        normed, _ = ds.normalize(images, images["train"])
         np.testing.assert_array_equal(normed["train"], np.zeros((5, 1, 4, 4)))
         assert np.isfinite(normed["train"]).all()
 
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
-            ds.normalize({"train": np.zeros((0, 1, 4, 4))})
+            ds.normalize({"train": np.zeros((0, 1, 4, 4))}, np.zeros((0, 1, 4, 4)))
 
 
 class TestCrop:

@@ -1,21 +1,14 @@
 """AUC family tests: rank-based implementation against the O(N^2) oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
 from helpers import brute_force_auc
 from msml import metrics
 from msml.errors import UndefinedMetricError
-from msml.metrics import (
-    MetricsReport,
-    ScoreMatrix,
-    build_report,
-    disease_vs_disease_auc,
-    macro_auc,
-    normal_vs_disease_auc,
-    roc_auc,
-    weighted_auc,
-)
+from msml.metrics import MetricsReport, ScoreMatrix, build_report, macro_auc, roc_auc
 
 
 def random_instance(seed, max_n=40, levels=None):
@@ -44,6 +37,11 @@ class TestRocAuc:
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.1, 0.2], [1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, bad):
+        with pytest.raises(UndefinedMetricError, match="finite"):
+            roc_auc([0.8, bad, 0.4, 0.2], [1, 0, 1, 0])
 
     def test_equals_brute_force_exactly_on_1000_instances(self):
         for seed in range(1000):
@@ -115,8 +113,8 @@ class TestSixSampleFixture:
             brute_force_auc(SIX.scores[diseased, c], SIX.labels[diseased, c]) for c in (0, 1)
         ]
         assert per_class == [5 / 6, 3 / 4]
-        assert disease_vs_disease_auc(SIX) == np.mean(per_class)
-        assert disease_vs_disease_auc(SIX) == pytest.approx(19 / 24, abs=1e-15)
+        assert build_report(SIX).d_auc == np.mean(per_class)
+        assert build_report(SIX).d_auc == pytest.approx(19 / 24, abs=1e-15)
 
     def test_n_auc_matches_subset_oracle(self):
         normal = SIX.labels.sum(axis=1) == 0
@@ -127,12 +125,12 @@ class TestSixSampleFixture:
             labels = np.concatenate([np.ones(pos.sum(), dtype=int), np.zeros(normal.sum(), dtype=int)])
             vals.append(brute_force_auc(scores, labels))
         assert vals == [5 / 6, 1.0]
-        assert normal_vs_disease_auc(SIX) == np.mean(vals)
-        assert normal_vs_disease_auc(SIX) == pytest.approx(11 / 12, abs=1e-15)
+        assert build_report(SIX).n_auc == np.mean(vals)
+        assert build_report(SIX).n_auc == pytest.approx(11 / 12, abs=1e-15)
 
     def test_w_auc(self):
         # weights (3/5, 2/5) over class AUCs (5/6, 7/8)
-        assert weighted_auc(SIX) == pytest.approx(0.6 * 5 / 6 + 0.4 * 7 / 8, abs=1e-15)
+        assert build_report(SIX).w_auc == pytest.approx(0.6 * 5 / 6 + 0.4 * 7 / 8, abs=1e-15)
 
 
 class TestMacroAuc:
@@ -174,7 +172,7 @@ class TestWeightedAuc:
             ]),
             labels=np.array([[1, 1], [1, 0], [1, 0], [0, 0], [0, 0], [0, 0]]),
         )
-        assert weighted_auc(sm) == pytest.approx(0.875, abs=1e-15)
+        assert build_report(sm).w_auc == pytest.approx(0.875, abs=1e-15)
 
     def test_equal_prevalence_equals_macro(self):
         rng = np.random.default_rng(12)
@@ -183,18 +181,19 @@ class TestWeightedAuc:
         for c in range(3):
             labels[rng.choice(20, size=7, replace=False), c] = 1
         sm = ScoreMatrix(scores, labels)
-        assert weighted_auc(sm) == pytest.approx(macro_auc(sm), abs=1e-12)
+        assert build_report(sm).w_auc == pytest.approx(macro_auc(sm), abs=1e-12)
 
     def test_single_class_equals_auc(self):
         scores, labels = random_instance(8)
         sm = ScoreMatrix(scores[:, None], labels[:, None])
-        assert weighted_auc(sm) == roc_auc(scores, labels)
+        assert build_report(sm).w_auc == roc_auc(scores, labels)
 
     def test_no_positives_raises(self):
         sm = ScoreMatrix(scores=np.array([[0.5], [0.4]]), labels=np.array([[0], [0]]))
-        with pytest.warns(UserWarning):
-            with pytest.raises(UndefinedMetricError):
-                weighted_auc(sm)
+        with pytest.warns(UserWarning, match="w_auc undefined: no positive labels"):
+            report = build_report(sm)
+        assert report.w_auc is None
+        assert report.class_weights == [0.0]
 
 
 class TestDAndNAuc:
@@ -204,30 +203,31 @@ class TestDAndNAuc:
         labels = (rng.random((30, 3)) < 0.4).astype(np.int8)
         labels[labels.sum(axis=1) == 0, 0] = 1  # make every sample diseased
         sm = ScoreMatrix(scores, labels)
-        assert disease_vs_disease_auc(sm) == macro_auc(sm)
+        assert build_report(sm).d_auc == macro_auc(sm)
 
     def test_n_auc_requires_normals(self):
         rng = np.random.default_rng(22)
         labels = np.ones((10, 2), dtype=np.int8)
         sm = ScoreMatrix(rng.random((10, 2)), labels)
-        with pytest.raises(UndefinedMetricError):
-            normal_vs_disease_auc(sm)
+        with pytest.warns(UserWarning, match="n_auc undefined: no all-normal sample"):
+            report = build_report(sm)
+        assert report.n_auc is None
 
     def test_n_auc_perfect_when_normals_scored_zero(self):
         labels = np.array([[1, 0], [0, 1], [0, 0], [0, 0]])
         scores = np.where(labels == 1, 1.0, 0.0)
         sm = ScoreMatrix(scores, labels)
-        assert normal_vs_disease_auc(sm) == 1.0
+        assert build_report(sm).n_auc == 1.0
 
     def test_d_auc_skips_class_all_positive_in_subset(self):
         # class 0 positive in every diseased sample -> skipped from D-AUC
         labels = np.array([[1, 1], [1, 0], [1, 1], [0, 0]])
         rng = np.random.default_rng(23)
         sm = ScoreMatrix(rng.random((4, 2)), labels)
-        with pytest.warns(UserWarning, match="class_0"):
-            value = disease_vs_disease_auc(sm)
+        report = build_report(sm)
+        assert report.skipped_classes["d_auc"] == [0]
         diseased = labels.sum(axis=1) > 0
-        assert value == brute_force_auc(sm.scores[diseased, 1], labels[diseased, 1])
+        assert report.d_auc == brute_force_auc(sm.scores[diseased, 1], labels[diseased, 1])
 
 
 class TestBuildReport:
@@ -250,7 +250,7 @@ class TestBuildReport:
         labels[:5] = 0
         labels[5] = [1, 1, 1]
         report = build_report(ScoreMatrix(rng.random((50, 3)), labels))
-        again = MetricsReport.from_json(report.to_json())
+        again = MetricsReport(**json.loads(report.to_json()))
         assert again == report
         assert again.to_json() == report.to_json()
 
@@ -292,3 +292,13 @@ class TestBuildReport:
         assert report.per_class_auc[0] is None
         assert report.n_auc is None
         assert 0 in report.skipped_classes["per_class"]
+
+    def test_non_finite_class_is_null_and_named(self):
+        scores = SIX.scores.copy()
+        scores[:, 0] = np.nan
+        with pytest.warns(UserWarning, match="class_0 .*finite"):
+            report = build_report(ScoreMatrix(scores, SIX.labels))
+        assert report.per_class_auc[0] is None
+        assert report.per_class_auc[1] == 7 / 8
+        assert report.skipped_classes["per_class"] == [0]
+        assert report.macro_auc == 7 / 8

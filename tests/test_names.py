@@ -6,7 +6,9 @@ the symbol tables alone, without running the code. The second keeps every
 ``forward`` free of per-call state: a forward pass returns its caches and
 never stores them on ``self``, so one model can run on several threads. The
 third finds dead code: a public function, class or method that nothing in the
-package, its tests or its benchmark refers to.
+package, its tests or its benchmark refers to. The fourth finds code kept only
+for the tests: a public name that neither the package (its re-exports aside)
+nor the benchmark refers to.
 """
 
 import ast
@@ -123,11 +125,21 @@ def test_dead_code_guard_flags_unreferenced_public_names():
     assert [q for q, name in public_defs(source) if name not in used] == ["unused", "K.idle"]
 
 
+PACKAGE = sorted(Path(msml.__path__[0]).glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").rglob("*.py"))
+
+
+def unreferenced(user_files):
+    """(module, qualified name) of each public def in ``msml`` that no file of ``user_files`` refers to."""
+    used = set().union(*(references(path.read_text()) for path in user_files))
+    return [(path.stem, qual) for path in PACKAGE
+            for qual, name in public_defs(path.read_text()) if name not in used]
+
+
 def test_every_public_name_is_referenced():
-    package = sorted(Path(msml.__path__[0]).glob("*.py"))
-    used = set()
-    for path in package + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
-        used |= references(path.read_text())
-    unreferenced = [(path.stem, qual) for path in package
-                    for qual, name in public_defs(path.read_text()) if name not in used]
-    assert unreferenced == []
+    assert unreferenced(PACKAGE + sorted((ROOT / "tests").rglob("*.py")) + BENCHMARK) == []
+
+
+def test_no_public_name_is_used_only_by_tests():
+    # re-exports in __init__.py do not count as uses
+    assert unreferenced([path for path in PACKAGE if path.name != "__init__.py"] + BENCHMARK) == []

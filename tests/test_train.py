@@ -27,7 +27,7 @@ def folds():
     data = ds.generate(spec)
     idx = ds.split(data, ds.SplitSpec(seed=77))
     images = {k: data.images[v] for k, v in idx.items()}
-    normed, _ = ds.normalize(images)
+    normed, _ = ds.normalize(images, images["train"])
     return {k: FoldData(normed[k], data.labels[idx[k]].astype(np.float64)) for k in idx}
 
 
