@@ -1,6 +1,14 @@
 """Multi-label softmax loss, two-stream bilinear models, synthetic data, and
 the AUC evaluation suite, built on explicitly differentiated numpy kernels.
+
+Importing the package pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS
+is already set; parallelism comes from ``model``'s worker pool instead. The pin
+only takes effect if numpy has not been imported yet.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
     ConfigError,

@@ -149,31 +149,37 @@ def _weighted_mean(values, labels):
 
 def _disease_vs_disease(sm: ScoreMatrix, skipped_classes):
     """Mean per-class AUC over the samples with a positive label; the classes
-    undefined there go, unwarned, to ``skipped_classes["d_auc"]`` if the mean is defined."""
+    undefined there go, unwarned, to ``skipped_classes["d_auc"]``."""
     any_pos = sm.labels.sum(axis=1) > 0
     if not any_pos.any():
         raise UndefinedMetricError("no sample has a positive label")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        values, skipped = per_class_auc(ScoreMatrix(sm.scores[any_pos], sm.labels[any_pos], sm.class_names))
-    mean = _mean_defined(values)
-    skipped_classes["d_auc"] = skipped
-    return mean
+        values, skipped_classes["d_auc"] = per_class_auc(
+            ScoreMatrix(sm.scores[any_pos], sm.labels[any_pos], sm.class_names))
+    return _mean_defined(values)
 
 
-def _normal_vs_disease(sm: ScoreMatrix, classes):
-    """Mean over ``classes`` of the AUC of class positives against strictly all-normal samples."""
+def _normal_vs_disease(sm: ScoreMatrix, skipped_classes):
+    """Mean per-class AUC of the class's positives against strictly all-normal
+    samples. A class without positives is already in ``skipped_classes["n_auc"]``;
+    one with a non-finite score there is skipped too and added to it."""
     normal = sm.labels.sum(axis=1) == 0
     if not normal.any():
         raise UndefinedMetricError("no all-normal sample in the split")
+    skipped = skipped_classes["n_auc"]
     values = []
-    for c in classes:
+    for c in [c for c in range(sm.num_classes) if c not in skipped]:
         pos = sm.labels[:, c] == 1
         scores = np.concatenate([sm.scores[pos, c], sm.scores[normal, c]])
         ys = np.concatenate([np.ones(int(pos.sum())), np.zeros(int(normal.sum()))])
-        values.append(roc_auc(scores, ys))
+        try:
+            values.append(roc_auc(scores, ys))
+        except UndefinedMetricError:  # both classes are present, so a non-finite score
+            skipped.append(c)
+    skipped.sort()
     if not values:
-        raise UndefinedMetricError("no class has positive samples")
+        raise UndefinedMetricError("no class has positive samples and finite scores")
     return float(np.mean(values))
 
 
@@ -196,7 +202,7 @@ def build_report(sm: ScoreMatrix) -> MetricsReport:
         macro_auc=_or_none("macro_auc", lambda: _mean_defined(values)),
         w_auc=_or_none("w_auc", lambda: _weighted_mean(values, sm.labels)),
         d_auc=_or_none("d_auc", lambda: _disease_vs_disease(sm, skipped_classes)),
-        n_auc=_or_none("n_auc", lambda: _normal_vs_disease(sm, np.flatnonzero(has_pos))),
+        n_auc=_or_none("n_auc", lambda: _normal_vs_disease(sm, skipped_classes)),
         class_weights=_or_none("class_weights", lambda: class_pos_weights(sm.labels).tolist())
         or [0.0] * sm.num_classes,
         skipped_classes=skipped_classes,

@@ -15,7 +15,10 @@ alone.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,6 +72,56 @@ class ModelConfig:
 
 
 # ---------------------------------------------------------------------------
+# the worker pool
+# ---------------------------------------------------------------------------
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _num_threads():
+    env = os.environ.get("MSML_THREADS", "").strip()
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise ConfigError(f"MSML_THREADS must be an integer, got {env!r}") from exc
+    return os.cpu_count() or 1
+
+
+def worker_pool():
+    """The process's one thread pool, or None when ``MSML_THREADS=1`` asks for
+    sequential runs.
+
+    It is built on first use with ``MSML_THREADS`` workers (default: every
+    core) and lives as long as the process. Training runs one stream of a
+    two-stream pass on it and ``score_fold`` its batches; a task on the pool
+    never submits to it, so no task waits for a free worker.
+    """
+    global _pool
+    workers = _num_threads()
+    if workers == 1:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="msml")
+    return _pool
+
+
+def _both(pool, task_a, task_b):
+    """(task_a(), task_b()), with task_a on ``pool`` while task_b runs here.
+    Returns, or raises, only once both have finished."""
+    if pool is None:
+        return task_a(), task_b()
+    future = pool.submit(task_a)
+    try:
+        result_b = task_b()
+    finally:
+        result_a = future.result()
+    return result_a, result_b
+
+
+# ---------------------------------------------------------------------------
 # parameterized layers
 # ---------------------------------------------------------------------------
 
@@ -105,9 +158,9 @@ class Conv2d:
         out, cache = ops.conv2d_forward(x, self.w)
         return out + self.b[None, :, None, None], cache
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, input_grad=True):
         self.db += dout.sum(axis=(0, 2, 3))
-        dx, dw = ops.conv2d_backward(dout, cache)
+        dx, dw = ops.conv2d_backward(dout, cache, input_grad)
         self.dw += dw
         return dx
 
@@ -139,12 +192,13 @@ class Backbone:
         return x, tape
 
     def backward(self, dout, tape):
-        for conv, (conv_cache, relu_mask, pool_cache) in zip(reversed(self.convs), reversed(tape)):
+        """Accumulate the parameter gradients; the input image gets no gradient."""
+        for i in reversed(range(len(self.convs))):
+            conv_cache, relu_mask, pool_cache = tape[i]
             if pool_cache is not None:
                 dout = ops.maxpool2d_backward(dout, pool_cache)
             dout = ops.relu_backward(dout, relu_mask)
-            dout = conv.backward(dout, conv_cache)
-        return dout
+            dout = self.convs[i].backward(dout, conv_cache, input_grad=i > 0)
 
     def params(self, prefix):
         out = []
@@ -215,8 +269,11 @@ class TwoStreamModel(Model):
         batch = _check_batch(batch, self.cfg)
         n = batch.shape[0]
         rate = self.cfg.dropout_rate
-        fa, tape_a = self.stream_a.forward(batch)
-        fb, tape_b = self.stream_b.forward(batch)
+        # Eval-mode passes run inline: score_fold already runs them on the pool.
+        (fa, tape_a), (fb, tape_b) = _both(
+            worker_pool() if training else None,
+            lambda: self.stream_a.forward(batch), lambda: self.stream_b.forward(batch),
+        )
 
         drop_a, mask_a = ops.dropout_forward(fa.reshape(n, -1), rate, training, [seed, 0])
         logits_ce, ce_cache = self.head_ce.forward(drop_a)
@@ -253,8 +310,8 @@ class TwoStreamModel(Model):
             self.cls.db += dcls_b
             d_fa += g_fa
             d_fb += g_fb
-        self.stream_a.backward(d_fa, tape_a)
-        self.stream_b.backward(d_fb, tape_b)
+        _both(worker_pool(), lambda: self.stream_a.backward(d_fa, tape_a),
+              lambda: self.stream_b.backward(d_fb, tape_b))
 
     def param_groups(self):
         """Named parameter subsets used by the training strategies."""

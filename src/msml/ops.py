@@ -53,8 +53,10 @@ def conv2d_forward(x, kernel):
     """Cross-correlate NCHW input with an odd square (C_out, C_in, k, k) kernel.
 
     Stride 1, zero padding k // 2, so the output keeps the input's H x W. The
-    k * k shifted views of the padded input are gathered into a column matrix
-    and multiplied once; ``conv2d_backward`` scatters through the same views.
+    k * k shifted H x W views of the padded input are gathered into an
+    (N, C_in * k * k, H * W) column array, rows in (c, a, b) order, and one
+    batched product with the (C_out, C_in * k * k) kernel matrix gives the
+    output already in NCHW. ``conv2d_backward`` scatters through the same views.
     """
     x, kernel = _as_f64(x), _as_f64(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -69,26 +71,27 @@ def conv2d_forward(x, kernel):
     if k > h + 2 * pad or k > w + 2 * pad:
         raise DimensionError(f"conv2d kernel {k}x{k} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, h, w, c_in, k, k), dtype=FLOAT)
-    for a in range(k):
-        for b in range(k):
-            cols[..., a, b] = xp[:, :, a : a + h, b : b + w].transpose(0, 2, 3, 1)
-    cols = cols.reshape(n * h * w, c_in * k * k)
-    out = (cols @ kernel.reshape(c_out, -1).T).reshape(n, h, w, c_out).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out), (cols, kernel, x.shape)
+    # (N, C_in, k, k, H, W) view: entry [.., a, b, i, j] is xp[.., a + i, b + j]
+    shifted = np.lib.stride_tricks.sliding_window_view(xp, (h, w), axis=(2, 3))
+    cols = shifted.reshape(n, c_in * k * k, h * w)
+    out = np.matmul(kernel.reshape(c_out, -1), cols).reshape(n, c_out, h, w)
+    return out, (cols, kernel, x.shape)
 
 
-def conv2d_backward(dout, cache):
+def conv2d_backward(dout, cache, input_grad=True):
+    """Return (dx, dkernel); dx is None when ``input_grad`` is false."""
     cols, kernel, (n, c_in, h, w) = cache
     c_out, _, k, _ = kernel.shape
     pad = k // 2
-    dmat = _as_f64(dout).transpose(0, 2, 3, 1).reshape(n * h * w, c_out)
-    dk = (dmat.T @ cols).reshape(kernel.shape)
-    dcols = (dmat @ kernel.reshape(c_out, -1)).reshape(n, h, w, c_in, k, k)
+    dmat = _as_f64(dout).reshape(n, c_out, h * w)
+    dk = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    if not input_grad:
+        return None, dk
+    dcols = np.matmul(kernel.reshape(c_out, -1).T, dmat).reshape(n, c_in, k, k, h, w)
     dxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dtype=FLOAT)
     for a in range(k):
         for b in range(k):
-            dxp[:, :, a : a + h, b : b + w] += dcols[..., a, b].transpose(0, 3, 1, 2)
+            dxp[:, :, a : a + h, b : b + w] += dcols[:, :, a, b]
     return dxp[:, :, pad : pad + h, pad : pad + w], dk
 
 

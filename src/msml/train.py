@@ -17,8 +17,6 @@ deterministic from (model seed, train seed, data, config).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,7 @@ from .dataset import crop_batch
 from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
 from .losses import msml_batch, sigmoid_bce_batch
 from .metrics import ScoreMatrix, macro_auc
-from .model import Adam, lr_schedule, predict
+from .model import Adam, lr_schedule, predict, worker_pool
 
 STRATEGIES = ("global", "local", "local_fixed")
 
@@ -156,22 +154,12 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
     return history
 
 
-def _num_threads():
-    env = os.environ.get("MSML_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"MSML_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def score_fold(model, fold: FoldData, crop_size=None):
     """Eval-mode probabilities per head over a whole fold.
 
-    Batches are pure forward passes, so they may run on a small thread pool
-    (capped by MSML_THREADS); results are merged in batch order and are
-    identical at any thread count.
+    Batches are pure forward passes, so they run on the worker pool (none
+    with MSML_THREADS=1); results are merged in batch order and are identical
+    at any thread count.
     """
     if len(fold) == 0:
         raise DataError("cannot score an empty fold")
@@ -182,10 +170,6 @@ def score_fold(model, fold: FoldData, crop_size=None):
     def run(batch):
         return predict(model, batch)
 
-    workers = min(_num_threads(), len(batches)) or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, batches))
-    else:
-        results = [run(b) for b in batches]
+    pool = worker_pool()
+    results = list(pool.map(run, batches)) if pool is not None else [run(b) for b in batches]
     return {head: np.concatenate([r[head] for r in results]) for head in model.heads}

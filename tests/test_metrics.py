@@ -229,6 +229,24 @@ class TestDAndNAuc:
         diseased = labels.sum(axis=1) > 0
         assert report.d_auc == brute_force_auc(sm.scores[diseased, 1], labels[diseased, 1])
 
+    def test_undefined_d_auc_names_every_skipped_class(self):
+        # both classes positive in every diseased sample -> D-AUC undefined
+        labels = np.array([[1, 1], [1, 1], [0, 0], [1, 1]])
+        sm = ScoreMatrix(np.random.default_rng(24).random((4, 2)), labels)
+        with pytest.warns(UserWarning, match="d_auc undefined"):
+            report = build_report(sm)
+        assert report.d_auc is None
+        assert report.skipped_classes["d_auc"] == [0, 1]
+
+    def test_n_auc_skips_class_non_finite_against_normals(self):
+        scores = SIX.scores.copy()
+        normal = np.flatnonzero(SIX.labels.sum(axis=1) == 0)
+        scores[normal[0], 1] = np.inf
+        with pytest.warns(UserWarning, match="class_1 .*finite"):
+            report = build_report(ScoreMatrix(scores, SIX.labels))
+        assert report.skipped_classes["n_auc"] == [1]
+        assert report.n_auc == 5 / 6
+
 
 class TestBuildReport:
     def test_perfect_classifier_all_aggregates_one(self):
@@ -302,3 +320,8 @@ class TestBuildReport:
         assert report.per_class_auc[1] == 7 / 8
         assert report.skipped_classes["per_class"] == [0]
         assert report.macro_auc == 7 / 8
+        # the aggregates over sample subsets skip class 0 alike
+        assert report.skipped_classes["d_auc"] == [0]
+        assert report.d_auc == 3 / 4
+        assert report.skipped_classes["n_auc"] == [0]
+        assert report.n_auc == 1.0

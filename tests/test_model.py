@@ -1,5 +1,7 @@
 """Model construction, forward contracts, optimizer, and checkpoints."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from msml.errors import ConfigError, DimensionError, FormatError
 from msml.gradcheck import TOLERANCES, run_scope
 from msml.model import (
     Adam,
+    Backbone,
     BackboneConfig,
     BaselineModel,
     Model,
@@ -152,6 +155,46 @@ class TestNoPerCallState:
             assert m.heads == heads and m.primary_head == heads[-1]
             groups = m.param_groups()
             assert m.params() == groups["backbones"] + groups["stream_heads"] + groups["bilinear_head"]
+
+
+class TestStreamThreads:
+    """A training pass runs stream_a on the worker pool and stream_b on the
+    caller; an eval pass, which score_fold already runs on the pool, runs both
+    on the caller."""
+
+    def threads_of_stream_passes(self, monkeypatch, training):
+        calls = []
+        for method in ("forward", "backward"):
+            real = getattr(Backbone, method)
+
+            def record(stream, *args, real=real, method=method):
+                calls.append((stream, method, threading.get_ident()))
+                return real(stream, *args)
+
+            monkeypatch.setattr(Backbone, method, record)
+        m = TwoStreamModel(TINY, seed=1)
+        rng = np.random.default_rng(10)
+        out = m.forward(rng.normal(size=(2, 1, 8, 8)), training=training, seed=3)
+        m.backward(out.tape, *(rng.normal(size=(2, TINY.num_classes)) for _ in range(3)))
+        here = threading.get_ident()
+        return {(("a" if stream is m.stream_a else "b"), method, thread == here)
+                for stream, method, thread in calls}
+
+    def test_training_runs_stream_a_on_the_pool(self, monkeypatch):
+        monkeypatch.setenv("MSML_THREADS", "2")
+        assert self.threads_of_stream_passes(monkeypatch, training=True) == {
+            ("a", "forward", False), ("b", "forward", True),
+            ("a", "backward", False), ("b", "backward", True)}
+
+    def test_eval_forward_runs_both_streams_here(self, monkeypatch):
+        monkeypatch.setenv("MSML_THREADS", "2")
+        assert self.threads_of_stream_passes(monkeypatch, training=False) == {
+            ("a", "forward", True), ("b", "forward", True),
+            ("a", "backward", False), ("b", "backward", True)}
+
+    def test_one_thread_runs_everything_here(self, monkeypatch):
+        monkeypatch.setenv("MSML_THREADS", "1")
+        assert {here for _, _, here in self.threads_of_stream_passes(monkeypatch, training=True)} == {True}
 
 
 class TestAdam:

@@ -81,6 +81,16 @@ class TestConv2d:
         with pytest.raises(DimensionError, match="odd square kernel"):
             ops.conv2d_forward(np.zeros((1, 1, 6, 6)), np.zeros((1, 1, kh, kw)))
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_kernel_grad_same_without_input_grad(self, k):
+        rng = np.random.default_rng(k)
+        out, cache = ops.conv2d_forward(rng.normal(size=(3, 2, 7, 6)), rng.normal(size=(4, 2, k, k)))
+        dout = rng.normal(size=out.shape)
+        dx, dk = ops.conv2d_backward(dout, cache)
+        no_dx, dk_only = ops.conv2d_backward(dout, cache, input_grad=False)
+        assert dx.shape == (3, 2, 7, 6) and no_dx is None
+        assert dk_only.tobytes() == dk.tobytes()
+
 
 def _loop_pool_grad(x, dout):
     """Scatter ``dout`` to the oracle's first-maximum cells."""

@@ -1,8 +1,14 @@
 """Training loop behavior: smoke runs, strategies, determinism, freezing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import msml
 from msml import dataset as ds
 from msml.errors import ConfigError, DataError, NumericalError
 from msml.losses import LossWeights, total_loss
@@ -94,6 +100,46 @@ class TestDeterminism:
         three = score_fold(model, folds["val"])
         for head in one:
             np.testing.assert_array_equal(one[head], three[head])
+
+    def test_training_independent_of_thread_count(self, folds, monkeypatch):
+        def run(threads):
+            if threads is None:
+                monkeypatch.delenv("MSML_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MSML_THREADS", threads)
+            model = TwoStreamModel(CFG, seed=8)
+            history = train(model, folds["train"], folds["val"], strategy="local", epochs=3, seed=8)
+            return [h.row() for h in history], {k: v.tobytes() for k, v in snapshot(model).items()}
+
+        default = run(None)
+        assert run("1") == default
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many more thread switches inside each pass
+        try:
+            assert run("2") == default
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestThreadPolicy:
+    """Importing msml pins OpenBLAS to one thread unless the user chose a count."""
+
+    @staticmethod
+    def blas_threads_seen_by_msml(value):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(msml.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        code = "import msml, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True, timeout=120)
+        return done.stdout.strip()
+
+    def test_unset_is_pinned_to_one(self):
+        assert self.blas_threads_seen_by_msml(None) == "1"
+
+    def test_user_value_wins(self):
+        assert self.blas_threads_seen_by_msml("3") == "3"
 
 
 class TestSymmetryBreaking:
