@@ -72,8 +72,13 @@ class ExperimentConfig:
                 raise ConfigError(f"conv_blocks {out_ch}:{kernel}: needs out_channels >= 1 and an odd kernel >= 1")
         if self.proj_width < 1:
             raise ConfigError(f"proj_width must be >= 1, got {self.proj_width}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for key in ("alpha", "beta"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.dataset or not self.out_dir:
             raise ConfigError("config needs both dataset and out_dir")
         return self

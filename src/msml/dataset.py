@@ -65,8 +65,8 @@ class GeneratorSpec:
                 raise ConfigError(f"prevalence {p} outside (0, 1)")
         if not 0.0 <= self.normal_fraction <= 1.0:
             raise ConfigError(f"normal_fraction {self.normal_fraction} outside [0, 1]")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma {self.noise_sigma} must be nonnegative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise_sigma {self.noise_sigma} must be finite and nonnegative")
         for a, b, boost in self.cooccurrence_pairs:
             if not (0 <= a < self.num_classes and 0 <= b < self.num_classes):
                 raise ConfigError(f"co-occurrence pair ({a}, {b}) out of class range")
@@ -76,6 +76,8 @@ class GeneratorSpec:
             raise ConfigError(f"image_size needs two values, got {self.image_size}")
         if min(self.image_size) < 8 or self.channels < 1:
             raise ConfigError(f"image_size {self.image_size} x {self.channels} too small")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @property

@@ -40,7 +40,7 @@ class UndefinedMetricError(MsmlError, ValueError):
 
 
 class NumericalError(MsmlError, ArithmeticError):
-    """Training produced a non-finite loss. Carries epoch and step indices."""
+    """Training produced a non-finite loss or parameter. Carries epoch and step indices."""
 
     def __init__(self, message, epoch=None, step=None):
         super().__init__(message)

@@ -34,8 +34,9 @@ class LossWeights:
     beta: float = 0.6
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ParameterError(f"loss weights must be nonnegative, got {self}")
+        for key in ("alpha", "beta"):
+            if not 0.0 <= getattr(self, key) < np.inf:
+                raise ParameterError(f"loss weight {key} must be finite and nonnegative, got {self}")
 
 
 def _check_pair(logits, labels):

@@ -147,20 +147,34 @@ class Linear:
 
 
 class Conv2d:
-    def __init__(self, in_ch, out_ch, kernel, rng):
+    """One backbone block: conv, then the optional 2x2/2 max-pool, then +bias and
+    ReLU. Pooling first gives the same forward bits as pooling last (a 2x2 max
+    commutes with a per-channel bias add and with ReLU, both monotone), and the
+    bias add and ReLU then touch a quarter of the elements."""
+
+    def __init__(self, in_ch, out_ch, kernel, rng, pool):
         std = np.sqrt(2.0 / (in_ch * kernel * kernel))
         self.w = rng.normal(0.0, std, size=(out_ch, in_ch, kernel, kernel))
         self.b = np.zeros(out_ch, dtype=FLOAT)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
+        self.pool = pool
 
     def forward(self, x):
-        out, cache = ops.conv2d_forward(x, self.w)
-        return out + self.b[None, :, None, None], cache
+        out, conv_cache = ops.conv2d_forward(x, self.w)
+        pool_cache = None
+        if self.pool:
+            out, pool_cache = ops.maxpool2d_forward(out)
+        out, relu_mask = ops.relu_forward(out + self.b[None, :, None, None])
+        return out, (conv_cache, pool_cache, relu_mask)
 
     def backward(self, dout, cache, input_grad=True):
+        conv_cache, pool_cache, relu_mask = cache
+        dout = ops.relu_backward(dout, relu_mask)
         self.db += dout.sum(axis=(0, 2, 3))
-        dx, dw = ops.conv2d_backward(dout, cache, input_grad)
+        if pool_cache is not None:
+            dout = ops.maxpool2d_backward(dout, pool_cache)
+        dx, dw = ops.conv2d_backward(dout, conv_cache, input_grad)
         self.dw += dw
         return dx
 
@@ -169,36 +183,29 @@ class Conv2d:
 
 
 class Backbone:
-    """Stack of same-padded conv blocks: conv -> relu -> optional 2x2 maxpool."""
+    """Stack of same-padded conv blocks (``Conv2d``: conv -> optional 2x2 maxpool
+    -> +bias -> relu)."""
 
     def __init__(self, cfg: BackboneConfig, rng):
         self.cfg = cfg
         self.convs = []
         in_ch = cfg.input_channels
-        for out_ch, kernel, _ in cfg.conv_blocks:
-            self.convs.append(Conv2d(in_ch, out_ch, kernel, rng))
+        for out_ch, kernel, pool in cfg.conv_blocks:
+            self.convs.append(Conv2d(in_ch, out_ch, kernel, rng, pool))
             in_ch = out_ch
 
     def forward(self, x):
         """Return the feature maps and the tape ``backward`` needs."""
         tape = []
-        for conv, (_, _, pool) in zip(self.convs, self.cfg.conv_blocks):
-            x, conv_cache = conv.forward(x)
-            x, relu_mask = ops.relu_forward(x)
-            pool_cache = None
-            if pool:
-                x, pool_cache = ops.maxpool2d_forward(x)
-            tape.append((conv_cache, relu_mask, pool_cache))
+        for conv in self.convs:
+            x, cache = conv.forward(x)
+            tape.append(cache)
         return x, tape
 
     def backward(self, dout, tape):
         """Accumulate the parameter gradients; the input image gets no gradient."""
         for i in reversed(range(len(self.convs))):
-            conv_cache, relu_mask, pool_cache = tape[i]
-            if pool_cache is not None:
-                dout = ops.maxpool2d_backward(dout, pool_cache)
-            dout = ops.relu_backward(dout, relu_mask)
-            dout = self.convs[i].backward(dout, conv_cache, input_grad=i > 0)
+            dout = self.convs[i].backward(dout, tape[i], input_grad=i > 0)
 
     def params(self, prefix):
         out = []
@@ -397,20 +404,29 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for _, p, _ in self.params]
         self.v = [np.zeros_like(p) for _, p, _ in self.params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for _, p, _ in self.params]
 
     def step(self, lr=None):
+        """p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
+        into two scratch arrays per parameter, so no step allocates."""
         lr = self.lr if lr is None else lr
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for (_, p, g), m, v in zip(self.params, self.m, self.v):
+        for (_, p, g), m, v, (s, r) in zip(self.params, self.m, self.v, self._scratch):
             if g.shape != p.shape:
                 raise DimensionError.mismatch("adam grad", g.shape, p.shape)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(v, c2, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            np.divide(m, c1, out=s)
+            s *= lr
+            p -= np.divide(s, r, out=s)
 
 
 def lr_schedule(initial_lr, epoch):

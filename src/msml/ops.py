@@ -49,14 +49,19 @@ def affine_backward(dout, cache):
 # conv2d (same-padded, stride-1 cross-correlation) and 2x2/2 maxpool2d
 # ---------------------------------------------------------------------------
 
+_DK_PANEL = 4096  # columns per partial product of the kernel gradient
+
+
 def conv2d_forward(x, kernel):
     """Cross-correlate NCHW input with an odd square (C_out, C_in, k, k) kernel.
 
     Stride 1, zero padding k // 2, so the output keeps the input's H x W. The
-    k * k shifted H x W views of the padded input are gathered into an
-    (N, C_in * k * k, H * W) column array, rows in (c, a, b) order, and one
-    batched product with the (C_out, C_in * k * k) kernel matrix gives the
-    output already in NCHW. ``conv2d_backward`` scatters through the same views.
+    work runs batch-last: the input, as (C_in, H, W, N), is padded and its
+    k * k shifted (H, W, N) blocks are gathered into one (C_in * k * k, H * W * N)
+    column matrix, rows in (c, a, b) order, so a single product with the
+    (C_out, C_in * k * k) kernel matrix gives every output. The result is NCHW
+    by shape and batch-last in memory (the batch axis has the smallest stride).
+    ``conv2d_backward`` scatters through the same blocks.
     """
     x, kernel = _as_f64(x), _as_f64(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -70,29 +75,38 @@ def conv2d_forward(x, kernel):
     k, pad = kh, kh // 2
     if k > h + 2 * pad or k > w + 2 * pad:
         raise DimensionError(f"conv2d kernel {k}x{k} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # (N, C_in, k, k, H, W) view: entry [.., a, b, i, j] is xp[.., a + i, b + j]
-    shifted = np.lib.stride_tricks.sliding_window_view(xp, (h, w), axis=(2, 3))
-    cols = shifted.reshape(n, c_in * k * k, h * w)
-    out = np.matmul(kernel.reshape(c_out, -1), cols).reshape(n, c_out, h, w)
-    return out, (cols, kernel, x.shape)
+    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n), dtype=FLOAT)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
+    cols = np.empty((c_in, k, k, h, w, n), dtype=FLOAT)
+    for a in range(k):
+        for b in range(k):
+            cols[:, a, b] = xp[:, a : a + h, b : b + w]
+    cols = cols.reshape(c_in * k * k, h * w * n)
+    out = kernel.reshape(c_out, -1) @ cols
+    return out.reshape(c_out, h, w, n).transpose(3, 0, 1, 2), (cols, kernel, x.shape)
 
 
 def conv2d_backward(dout, cache, input_grad=True):
-    """Return (dx, dkernel); dx is None when ``input_grad`` is false."""
+    """Return (dx, dkernel); dx is None when ``input_grad`` is false. Batch-last
+    ``dout`` is read without a copy, and dx comes back batch-last."""
     cols, kernel, (n, c_in, h, w) = cache
     c_out, _, k, _ = kernel.shape
     pad = k // 2
-    dmat = _as_f64(dout).reshape(n, c_out, h * w)
-    dk = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    dmat = _as_f64(dout).transpose(1, 2, 3, 0).reshape(c_out, h * w * n)
+    # The batch sum runs inside the product. Panels of _DK_PANEL columns keep a
+    # long product (block 1: 12,544 columns) in cache, and cost nothing otherwise.
+    dk = dmat[:, :_DK_PANEL] @ cols[:, :_DK_PANEL].T
+    for i in range(_DK_PANEL, dmat.shape[1], _DK_PANEL):
+        dk += dmat[:, i : i + _DK_PANEL] @ cols[:, i : i + _DK_PANEL].T
+    dk = dk.reshape(kernel.shape)
     if not input_grad:
         return None, dk
-    dcols = np.matmul(kernel.reshape(c_out, -1).T, dmat).reshape(n, c_in, k, k, h, w)
-    dxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dtype=FLOAT)
+    dcols = (kernel.reshape(c_out, -1).T @ dmat).reshape(c_in, k, k, h, w, n)
+    dxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n), dtype=FLOAT)
     for a in range(k):
         for b in range(k):
-            dxp[:, :, a : a + h, b : b + w] += dcols[:, :, a, b]
-    return dxp[:, :, pad : pad + h, pad : pad + w], dk
+            dxp[:, a : a + h, b : b + w] += dcols[:, a, b]
+    return dxp[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2), dk
 
 
 def _pool_views(x):
@@ -109,7 +123,7 @@ def maxpool2d_forward(x):
         raise DimensionError(f"maxpool2d expects 4-d input of at least 2x2, got {x.shape}")
     views = _pool_views(x)
     out = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
-    taken = np.zeros(out.shape, dtype=bool)
+    taken = np.zeros_like(out, dtype=bool)  # the masks keep x's memory order
     masks = []
     for view in views:
         masks.append((view == out) & ~taken)
@@ -120,7 +134,7 @@ def maxpool2d_forward(x):
 def maxpool2d_backward(dout, cache):
     masks, x_shape = cache
     dout = _as_f64(dout)
-    dx = np.zeros(x_shape, dtype=FLOAT)
+    dx = np.zeros_like(dout, shape=x_shape)  # in dout's memory order
     for view, mask in zip(_pool_views(dx), masks):
         np.multiply(dout, mask, out=view)
     return dx

@@ -140,6 +140,12 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
                 model.zero_grads()
                 model.backward(out.tape, *grads)
                 opt.step(lr)
+                for name, value, _ in params:
+                    if not np.isfinite(value).all():
+                        raise NumericalError(
+                            f"non-finite parameter {name} after the update at epoch {epoch}, step {steps}",
+                            epoch=epoch, step=steps,
+                        )
                 sums += (alpha * ce_val, alpha * ms_val, beta * fce_val)
                 steps += 1
             scores = score_fold(model, val_fold, crop_size=crop_size)

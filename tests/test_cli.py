@@ -83,6 +83,14 @@ class TestGenData:
         bad.write_text("num_classes = 2\nclass_prevalence = 1.5, 0.2\n")
         assert main(["gen-data", "--spec", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("old,new", [("seed = 13", "seed = -3"), ("noise_sigma = 0.05", "noise_sigma = nan")])
+    def test_negative_seed_or_nan_noise_exits_2(self, tmp_path, capsys, old, new):
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(SPEC_TEXT.replace(old, new))
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(tmp_path / "x")]) == 2
+        assert new.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_spec_exits_2(self, tmp_path):
         assert main(["gen-data", "--spec", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -172,6 +180,32 @@ class TestTrain:
         ) + line + "\n")
         assert main(["train", "--config", str(config)]) == 2
         assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["beta = nan", "alpha = inf", "learning_rate = inf", "seed = -3"])
+    def test_non_finite_or_negative_value_exits_2(self, data_dir, tmp_path, capsys, line):
+        config = tmp_path / "c.txt"
+        config.write_text(CONFIG_TEMPLATE.format(
+            data_dir=data_dir, model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "o"
+        ).replace("seed = 3\n", "") + line + "\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_gradient_exits_3_without_a_checkpoint(self, data_dir, tmp_path, capsys, monkeypatch):
+        real_backward = cli_mod.TwoStreamModel.backward
+
+        def poisoned(model, *args, **kwargs):
+            real_backward(model, *args, **kwargs)
+            model.cls.dw[...] = np.nan
+
+        monkeypatch.setattr(cli_mod.TwoStreamModel, "backward", poisoned)
+        config = tmp_path / "c.txt"
+        config.write_text(CONFIG_TEMPLATE.format(
+            data_dir=data_dir, model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "o"
+        ))
+        assert main(["train", "--config", str(config)]) == 3
+        assert "bilinear.cls.w after the update at epoch 0, step 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):

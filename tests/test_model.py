@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from msml import ops
 from msml.errors import ConfigError, DimensionError, FormatError
 from msml.gradcheck import TOLERANCES, run_scope
 from msml.model import (
@@ -12,6 +13,7 @@ from msml.model import (
     Backbone,
     BackboneConfig,
     BaselineModel,
+    Conv2d,
     Model,
     ModelConfig,
     TwoStreamModel,
@@ -197,6 +199,31 @@ class TestStreamThreads:
         assert {here for _, _, here in self.threads_of_stream_passes(monkeypatch, training=True)} == {True}
 
 
+class TestConvBlock:
+    """A block pools before its bias and ReLU; the forward bits are those of
+    the reference order conv -> +bias -> relu -> pool."""
+
+    @pytest.mark.parametrize("pool", [True, False])
+    def test_forward_matches_reference_order(self, pool):
+        rng = np.random.default_rng(8)
+        conv = Conv2d(3, 5, 3, rng, pool)
+        conv.b[...] = rng.normal(size=5)
+        x = rng.normal(size=(4, 3, 9, 8))
+        out, _ = conv.forward(x)
+        ref, _ = ops.conv2d_forward(x, conv.w)
+        ref, _ = ops.relu_forward(ref + conv.b[None, :, None, None])
+        if pool:
+            ref, _ = ops.maxpool2d_forward(ref)
+        assert out.shape == ref.shape
+        assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    def test_block_output_is_batch_last(self):
+        rng = np.random.default_rng(9)
+        out, _ = Conv2d(1, 4, 3, rng, True).forward(rng.normal(size=(6, 1, 8, 8)))
+        assert out.shape == (6, 4, 4, 4)
+        assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = np.ones((3, 2))
@@ -229,6 +256,30 @@ class TestAdam:
             return p
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_matches_reference_expression_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        shapes = [(4, 3), (7,), (2, 3, 3, 3)]
+        grads = [[rng.normal(size=s) for s in shapes] for _ in range(6)]
+        params = [rng.normal(size=s) for s in shapes]
+        opt = Adam([(str(i), p.copy(), np.zeros(p.shape)) for i, p in enumerate(params)], lr=3e-3)
+        ref_p = [p.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+        for t, step_grads in enumerate(grads, start=1):
+            for (_, _, g), step_grad in zip(opt.params, step_grads):
+                g[...] = step_grad
+            opt.step()
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for p, m, v, g in zip(ref_p, ref_m, ref_v, step_grads):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            for (_, p, _), ref in zip(opt.params, ref_p):
+                assert p.tobytes() == ref.tobytes()
 
     def test_shape_mismatch(self):
         opt = Adam([("p", np.zeros((2, 2)), np.zeros((2, 2)))])

@@ -179,6 +179,53 @@ class TestRelu:
         np.testing.assert_array_equal(once, twice)
 
 
+def _batch_last(a):
+    """The same values as ``a`` (NCHW), with the batch axis innermost in memory."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestMemoryOrder:
+    """Every backbone op gives the same bits on NCHW-contiguous input and on the
+    same values in batch-last memory, the order the backbone runs in."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d(self, k):
+        rng = np.random.default_rng(k)
+        x, kernel = rng.normal(size=(5, 3, 7, 6)), rng.normal(size=(4, 3, k, k))
+        out, cache = ops.conv2d_forward(x, kernel)
+        out_bl, cache_bl = ops.conv2d_forward(_batch_last(x), kernel)
+        assert _same_bits(out, out_bl)
+        dout = rng.normal(size=out.shape)
+        dx, dk = ops.conv2d_backward(dout, cache)
+        dx_bl, dk_bl = ops.conv2d_backward(_batch_last(dout), cache_bl)
+        assert _same_bits(dx, dx_bl) and _same_bits(dk, dk_bl)
+
+    def test_maxpool2d(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(5, 3, 7, 6))
+        x[:, :, 0, 1] = x[:, :, 0, 0]  # ties
+        out, cache = ops.maxpool2d_forward(x)
+        out_bl, cache_bl = ops.maxpool2d_forward(_batch_last(x))
+        assert _same_bits(out, out_bl)
+        dout = rng.normal(size=out.shape)
+        dx_bl = ops.maxpool2d_backward(_batch_last(dout), cache_bl)
+        assert _same_bits(ops.maxpool2d_backward(dout, cache), dx_bl)
+        assert dx_bl.transpose(1, 2, 3, 0).flags.c_contiguous  # the layout is kept
+
+    def test_relu(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 3, 4, 4))
+        out, mask = ops.relu_forward(x)
+        out_bl, mask_bl = ops.relu_forward(_batch_last(x))
+        assert _same_bits(out, out_bl)
+        dout = rng.normal(size=x.shape)
+        assert _same_bits(ops.relu_backward(dout, mask), ops.relu_backward(_batch_last(dout), mask_bl))
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.arange(6.0).reshape(2, 3)

@@ -212,6 +212,23 @@ class TestFailureModes:
         assert err.value.epoch == 0
         assert err.value.step == 0
 
+    def test_nan_gradient_stops_at_the_update_and_names_the_parameter(self, folds, monkeypatch):
+        real_backward = TwoStreamModel.backward
+        calls = []
+
+        def poisoned(model, *args, **kwargs):
+            real_backward(model, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == 2:  # the second step of the first epoch
+                model.proj.dw[0, 0] = np.nan
+
+        monkeypatch.setattr(TwoStreamModel, "backward", poisoned)
+        model = TwoStreamModel(CFG, seed=11)
+        with pytest.raises(NumericalError, match="bilinear.proj.w") as err:
+            train(model, folds["train"], folds["val"], epochs=1, batch_size=8, seed=11)
+        assert (err.value.epoch, err.value.step) == (0, 1)
+        assert "epoch 0, step 1" in str(err.value)
+
     def test_empty_fold_rejected(self, folds):
         model = TwoStreamModel(CFG, seed=12)
         empty = FoldData(folds["train"].images[:0], folds["train"].labels[:0])
