@@ -28,13 +28,12 @@ from .model import (
     BaselineModel,
     ModelConfig,
     TwoStreamModel,
-    ensemble_fuse,
     lr_schedule,
     model_from_checkpoint,
     predict,
     save_checkpoint,
 )
-from .dataset import Dataset, GeneratorSpec, SplitSpec, generate, split
+from .dataset import Dataset, GeneratorSpec, generate, split
 
 __version__ = "0.1.0"
 
@@ -55,11 +54,9 @@ __all__ = [
     "NumericalError",
     "ParameterError",
     "ScoreMatrix",
-    "SplitSpec",
     "TwoStreamModel",
     "UndefinedMetricError",
     "build_report",
-    "ensemble_fuse",
     "generate",
     "lr_schedule",
     "macro_auc",

@@ -30,7 +30,6 @@ from .model import (
     BaselineModel,
     ModelConfig,
     TwoStreamModel,
-    ensemble_fuse,
     model_from_checkpoint,
     save_checkpoint,
 )
@@ -65,11 +64,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose one of {STRATEGIES}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if not self.conv_blocks:
-            raise ConfigError("conv_blocks needs at least one block")
-        for out_ch, kernel, _ in self.conv_blocks:
-            if out_ch < 1 or kernel < 1 or kernel % 2 == 0:
-                raise ConfigError(f"conv_blocks {out_ch}:{kernel}: needs out_channels >= 1 and an odd kernel >= 1")
+        BackboneConfig(conv_blocks=self.conv_blocks).validate()
         if self.proj_width < 1:
             raise ConfigError(f"proj_width must be >= 1, got {self.proj_width}")
         if not 0 < self.learning_rate < np.inf:
@@ -96,7 +91,7 @@ def load_folds(data_dir, names=None):
         if name not in folds_idx:
             raise DataError(f"{data_dir / 'splits.json'} has no fold {name!r}")
     images = {name: data.images[folds_idx[name]] for name in names}
-    normed, _ = ds.normalize(images, data.images[folds_idx["train"]])
+    normed = ds.normalize(images, data.images[folds_idx["train"]])
     folds = {name: FoldData(normed[name], data.labels[folds_idx[name]].astype(np.float64)) for name in names}
     return folds, data.class_names
 
@@ -124,7 +119,7 @@ def cmd_gen_data(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     data = ds.generate(spec)
     ds.save(data, out_dir)
-    folds = ds.split(data, ds.SplitSpec(seed=spec.seed))
+    folds = ds.split(data, spec.seed)
     ds.save_splits(folds, out_dir / "splits.json")
     ds.write_atomic(out_dir / "manifest.txt", ds.format_fields(spec))
     print(f"wrote {len(data)} samples to {out_dir}")
@@ -144,7 +139,6 @@ def cmd_train(args) -> int:
         batch_size=cfg.batch_size,
         seed=cfg.seed,
         initial_lr=cfg.learning_rate,
-        crop_size=cfg.crop_size,
     )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,7 +162,7 @@ def cmd_eval(args) -> int:
     if args.head == "fused":
         if "fce" not in scores:
             raise ConfigError("fused head needs a two-stream checkpoint with an fce head")
-        chosen = ensemble_fuse([scores["ce"], scores["fce"]])
+        chosen = (scores["ce"] + scores["fce"]) / 2.0
     else:
         if args.head not in scores:
             raise ConfigError(f"checkpoint has heads {sorted(scores)}, not {args.head!r}")

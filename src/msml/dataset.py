@@ -24,7 +24,7 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,11 +92,7 @@ class Dataset:
     images: np.ndarray  # (N, channels, H, W) float32
     labels: np.ndarray  # (N, C) int8
     group_ids: np.ndarray  # (N,) int64
-    class_names: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.class_names:
-            self.class_names = [f"class_{c}" for c in range(self.labels.shape[1])]
+    class_names: list[str]
 
     def __len__(self):
         return self.images.shape[0]
@@ -166,51 +162,24 @@ def generate(spec: GeneratorSpec) -> Dataset:
 # splits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitSpec:
-    fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    grouped: bool = True
-    seed: int = 0
-
-    def validate(self):
-        if abs(sum(self.fractions) - 1.0) > 1e-9 or any(f <= 0 for f in self.fractions):
-            raise ConfigError(f"split fractions {self.fractions} must be positive and sum to 1")
-        return self
+SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train, val, test share of the groups
 
 
-def split(dataset: Dataset, spec: SplitSpec):
-    """Assign samples to train/val/test index arrays.
-
-    Grouped mode assigns whole groups to folds so no group id crosses folds;
-    fold sizes land within one group of the target fractions.
-    """
-    spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    if spec.grouped:
-        groups = np.unique(dataset.group_ids)
-        if groups.size < 10:
-            raise DataError(f"grouped split needs >= 10 groups, got {groups.size}")
-        order = rng.permutation(groups)
-        n_train = round(spec.fractions[0] * groups.size)
-        n_val = round(spec.fractions[1] * groups.size)
-        fold_groups = {
-            "train": set(order[:n_train].tolist()),
-            "val": set(order[n_train : n_train + n_val].tolist()),
-            "test": set(order[n_train + n_val :].tolist()),
-        }
-        folds = {
-            name: np.flatnonzero(np.isin(dataset.group_ids, list(ids)))
-            for name, ids in fold_groups.items()
-        }
-    else:
-        order = rng.permutation(len(dataset))
-        n_train = round(spec.fractions[0] * len(dataset))
-        n_val = round(spec.fractions[1] * len(dataset))
-        folds = {
-            "train": np.sort(order[:n_train]),
-            "val": np.sort(order[n_train : n_train + n_val]),
-            "test": np.sort(order[n_train + n_val :]),
-        }
+def split(dataset: Dataset, seed: int):
+    """Assign whole groups to train/val/test index arrays, so no group id
+    crosses folds; fold sizes land within one group of ``SPLIT_FRACTIONS``."""
+    groups = np.unique(dataset.group_ids)
+    if groups.size < 10:
+        raise DataError(f"grouped split needs >= 10 groups, got {groups.size}")
+    order = np.random.default_rng(seed).permutation(groups)
+    n_train = round(SPLIT_FRACTIONS[0] * groups.size)
+    n_val = round(SPLIT_FRACTIONS[1] * groups.size)
+    fold_groups = {
+        "train": order[:n_train],
+        "val": order[n_train : n_train + n_val],
+        "test": order[n_train + n_val :],
+    }
+    folds = {name: np.flatnonzero(np.isin(dataset.group_ids, ids)) for name, ids in fold_groups.items()}
     for name, idx in folds.items():
         if idx.size == 0:
             raise DataError(f"split produced an empty {name} fold")
@@ -239,7 +208,7 @@ def normalize(images_by_fold: dict, train_images):
     for name, imgs in images_by_fold.items():
         x = np.asarray(imgs, dtype=FLOAT)
         out[name] = (x - mean[None, :, None, None]) / denom[None, :, None, None]
-    return out, (mean, std)
+    return out
 
 
 def crop_batch(images, out_size, training, rng=None):
@@ -284,6 +253,15 @@ def write_atomic(path, data):
         raise
 
 
+def decode_utf8(data: bytes, what, offset=0):
+    """``data`` as text; a byte that is not UTF-8 raises FormatError at its offset
+    (``offset`` is where ``data`` starts in its file)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8: {exc.reason}", offset=offset + exc.start) from exc
+
+
 def save(dataset: Dataset, directory):
     """Write images.bin and labels.csv under ``directory`` (temp + rename)."""
     directory = Path(directory)
@@ -319,8 +297,11 @@ def load(directory) -> Dataset:
         )
     images = np.frombuffer(raw, dtype="<f4", offset=header_end).reshape(n, channels, h, w).copy()
 
-    text = (directory / "labels.csv").read_text()
-    rows = list(csv.reader(io.StringIO(text)))
+    text = decode_utf8((directory / "labels.csv").read_bytes(), "labels.csv")
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise FormatError(f"labels.csv is not valid CSV: {exc}") from exc
     if not rows:
         raise FormatError("labels.csv is empty", offset=0)
     header = rows[0]

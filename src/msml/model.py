@@ -15,6 +15,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import bilinear as bl
 from . import ops
-from .dataset import write_atomic
+from .dataset import decode_utf8, write_atomic
 from .errors import ConfigError, DimensionError, FormatError
 from .losses import LossWeights
 
@@ -45,6 +46,16 @@ class BackboneConfig:
     # (out_channels, odd kernel, pool) per block; conv is same-padded, stride 1,
     # pool is a 2x2/2 max pool.
     conv_blocks: tuple = ((16, 3, True), (32, 3, True), (32, 3, True))
+
+    def validate(self):
+        """Raise ConfigError unless there is a block and each has out_channels >= 1
+        and an odd kernel >= 1."""
+        if not self.conv_blocks:
+            raise ConfigError("conv_blocks needs at least one block")
+        for out_ch, kernel, _ in self.conv_blocks:
+            if out_ch < 1 or kernel < 1 or kernel % 2 == 0:
+                raise ConfigError(f"conv_blocks {out_ch}:{kernel}: needs out_channels >= 1 and an odd kernel >= 1")
+        return self
 
     @property
     def feature_channels(self):
@@ -238,9 +249,8 @@ class Model:
     """What both models share. Subclasses set ``kind``, ``heads`` and ``primary_head``
     and define ``param_groups``, ``forward`` and ``backward(tape, d_ce, d_msml, d_fce)``."""
 
-    def __init__(self, cfg: ModelConfig, seed: int, loss_weights: LossWeights = LossWeights()):
+    def __init__(self, cfg: ModelConfig, loss_weights: LossWeights = LossWeights()):
         self.cfg = cfg
-        self.seed = seed
         self.loss_weights = loss_weights
 
     def params(self):
@@ -260,7 +270,7 @@ class TwoStreamModel(Model):
     primary_head = "fce"
 
     def __init__(self, cfg: ModelConfig, seed: int, loss_weights: LossWeights = LossWeights()):
-        super().__init__(cfg, seed, loss_weights)
+        super().__init__(cfg, loss_weights)
         d, h, w = cfg.backbone.feature_shape(cfg.input_size)
         flat = d * h * w
         # Streams share one seed stream so their initial weights are
@@ -337,7 +347,7 @@ class BaselineModel(Model):
     primary_head = "ce"
 
     def __init__(self, cfg: ModelConfig, seed: int):
-        super().__init__(cfg, seed)
+        super().__init__(cfg)
         d, h, w = cfg.backbone.feature_shape(cfg.input_size)
         self.backbone = Backbone(cfg.backbone, np.random.default_rng([seed, 0]))
         self.head_ce = Linear(d * h * w, cfg.num_classes, np.random.default_rng([seed, 1]))
@@ -364,7 +374,7 @@ class BaselineModel(Model):
 
 
 # ---------------------------------------------------------------------------
-# prediction and fusion
+# prediction
 # ---------------------------------------------------------------------------
 
 def predict(model, batch):
@@ -377,17 +387,6 @@ def predict(model, batch):
     return probs
 
 
-def ensemble_fuse(score_sets):
-    """Elementwise mean of equally-shaped probability arrays."""
-    if not score_sets:
-        raise DimensionError("ensemble_fuse needs at least one score set")
-    arrays = [np.asarray(s, dtype=FLOAT) for s in score_sets]
-    for a in arrays[1:]:
-        if a.shape != arrays[0].shape:
-            raise DimensionError.mismatch("ensemble_fuse inputs", a.shape, arrays[0].shape)
-    return np.mean(arrays, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # optimizer and schedule
 # ---------------------------------------------------------------------------
@@ -395,21 +394,20 @@ def ensemble_fuse(score_sets):
 class Adam:
     """Standard Adam with bias correction, updating parameters in place."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params):
         self.params = list(params)  # (name, value, grad) triples
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for _, p, _ in self.params]
         self.v = [np.zeros_like(p) for _, p, _ in self.params]
         self._scratch = [(np.empty_like(p), np.empty_like(p)) for _, p, _ in self.params]
 
-    def step(self, lr=None):
+    def step(self, lr):
         """p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
         into two scratch arrays per parameter, so no step allocates."""
-        lr = self.lr if lr is None else lr
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
@@ -440,20 +438,17 @@ def lr_schedule(initial_lr, epoch):
 # checkpoints
 # ---------------------------------------------------------------------------
 
+# The architecture tensors every checkpoint stores, in this order, after the parameters.
+META = ("meta.kind", "meta.input_size", "meta.input_channels", "meta.conv_blocks",
+        "meta.proj_width", "meta.dropout_rate")
+
+
 def _meta_tensors(model):
     cfg = model.cfg
-    blocks = np.array(
-        [[out_ch, kernel, 1.0 if pool else 0.0] for out_ch, kernel, pool in cfg.backbone.conv_blocks],
-        dtype=FLOAT,
-    )
-    return [
-        ("meta.kind", np.array([0.0 if model.kind == "baseline" else 1.0])),
-        ("meta.input_size", np.array(cfg.input_size, dtype=FLOAT)),
-        ("meta.input_channels", np.array([cfg.backbone.input_channels], dtype=FLOAT)),
-        ("meta.conv_blocks", blocks),
-        ("meta.proj_width", np.array([cfg.proj_width], dtype=FLOAT)),
-        ("meta.dropout_rate", np.array([cfg.dropout_rate], dtype=FLOAT)),
-    ]
+    blocks = [[out_ch, kernel, 1.0 if pool else 0.0] for out_ch, kernel, pool in cfg.backbone.conv_blocks]
+    values = (0.0 if model.kind == "baseline" else 1.0, cfg.input_size, cfg.backbone.input_channels,
+              blocks, cfg.proj_width, cfg.dropout_rate)
+    return [(name, np.atleast_1d(np.array(value, dtype=FLOAT))) for name, value in zip(META, values)]
 
 
 def save_checkpoint(model, path):
@@ -473,7 +468,8 @@ def save_checkpoint(model, path):
 
 
 def read_checkpoint(path):
-    """Return (num_classes, dict name -> float64 array)."""
+    """Return (num_classes, dict name -> float64 array); FormatError, with a byte
+    offset where one applies, on any corruption the format can detect."""
     raw = Path(path).read_bytes()
     if len(raw) < len(CHECKPOINT_MAGIC) or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {raw[:8]!r}", offset=0)
@@ -491,10 +487,12 @@ def read_checkpoint(path):
     tensors = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name = decode_utf8(take(name_len, "name"), "checkpoint tensor name", off - name_len)
         (rank,) = struct.unpack("<I", take(4, "rank"))
+        if rank > 4:
+            raise FormatError(f"checkpoint tensor {name} has rank {rank}; no tensor has more than 4", offset=off - 4)
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = math.prod(dims)
         data = np.frombuffer(take(8 * count, f"data of {name}"), dtype="<f8")
         if not np.isfinite(data).all():
             raise FormatError(f"checkpoint tensor {name} holds a NaN or an infinity", offset=off - 8 * count)
@@ -504,25 +502,57 @@ def read_checkpoint(path):
     return num_classes, tensors
 
 
+def _whole(v, low):
+    return v.size > 0 and (v == np.round(v)).all() and v.min() >= low
+
+
+def _config_from_meta(num_classes, tensors):
+    """The model class and ModelConfig that a checkpoint's meta tensors describe.
+
+    Each meta tensor's shape and range is checked before anything is built, and
+    a bad one raises FormatError naming it. So does a description with a weight
+    larger than the checkpoint's largest tensor, so a corrupt size allocates nothing.
+    """
+    for name in META:
+        if name not in tensors:
+            raise FormatError(f"checkpoint lacks {name}; cannot rebuild the model")
+    kind, size, channels, blocks, width, rate = (tensors[name] for name in META)
+    for name, ok in (
+        ("meta.kind", kind.shape == (1,) and kind[0] in (0.0, 1.0)),
+        ("meta.input_size", size.shape == (2,) and _whole(size, 1)),
+        ("meta.input_channels", channels.shape == (1,) and _whole(channels, 1)),
+        ("meta.conv_blocks", blocks.shape[1:] == (3,) and _whole(blocks, -np.inf) and set(blocks[:, 2]) <= {0, 1}),
+        ("meta.proj_width", width.shape == (1,) and _whole(width, 1)),
+        ("meta.dropout_rate", rate.shape == (1,) and 0.0 <= rate[0] < 1.0),
+    ):
+        if not ok:
+            raise FormatError(f"checkpoint {name} holds {tensors[name].tolist()}, which describes no model")
+    backbone = BackboneConfig(int(channels[0]), tuple((int(o), int(k), bool(p)) for o, k, p in blocks))
+    cfg = ModelConfig(num_classes, (int(size[0]), int(size[1])), backbone, int(width[0]), float(rate[0]))
+    try:
+        backbone.validate()
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint meta.conv_blocks: {exc}") from exc
+    try:
+        d, h, w = backbone.feature_shape(cfg.input_size)
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint meta.input_size: {exc}") from exc
+    model_cls = BaselineModel if kind[0] == 0.0 else TwoStreamModel
+    in_chs = (backbone.input_channels, *(o for o, _, _ in backbone.conv_blocks))
+    weights = [o * i * k * k for (o, k, _), i in zip(backbone.conv_blocks, in_chs)] + [d * h * w * num_classes]
+    if model_cls is TwoStreamModel:
+        weights += [d * d * cfg.proj_width, cfg.proj_width * num_classes]
+    largest = max(value.size for value in tensors.values())
+    if max(weights) > largest:
+        raise FormatError(f"checkpoint meta describes a {max(weights)}-value weight; its largest tensor has {largest}")
+    return model_cls, cfg
+
+
 def model_from_checkpoint(path):
     """Rebuild a model from a checkpoint's meta tensors and load its weights."""
     num_classes, tensors = read_checkpoint(path)
-    required = ["meta.kind", "meta.input_size", "meta.input_channels", "meta.conv_blocks",
-                "meta.proj_width", "meta.dropout_rate"]
-    for key in required:
-        if key not in tensors:
-            raise FormatError(f"checkpoint lacks {key}; cannot rebuild the model")
-    blocks = tuple(
-        (int(row[0]), int(row[1]), bool(row[2])) for row in np.atleast_2d(tensors["meta.conv_blocks"])
-    )
-    cfg = ModelConfig(
-        num_classes=num_classes,
-        input_size=(int(tensors["meta.input_size"][0]), int(tensors["meta.input_size"][1])),
-        backbone=BackboneConfig(int(tensors["meta.input_channels"][0]), blocks),
-        proj_width=int(tensors["meta.proj_width"][0]),
-        dropout_rate=float(tensors["meta.dropout_rate"][0]),
-    )
-    model = (BaselineModel if tensors["meta.kind"][0] == 0.0 else TwoStreamModel)(cfg, seed=0)
+    model_cls, cfg = _config_from_meta(num_classes, tensors)
+    model = model_cls(cfg, seed=0)
     for name, value, _ in model.params():
         if name not in tensors:
             raise FormatError(f"checkpoint lacks parameter {name}")

@@ -101,8 +101,7 @@ def _losses_and_grads(out, labels, active, alpha, beta):
 
 
 def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
-          epochs=6, batch_size=16, seed=0, initial_lr=1e-4, crop_size=None,
-          on_phase_end=None):
+          epochs=6, batch_size=16, seed=0, initial_lr=1e-4, on_phase_end=None):
     """Train in place; returns the per-epoch history as a list of EpochStats.
 
     ``on_phase_end(phase_index, model)`` fires after each strategy phase,
@@ -110,7 +109,6 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
     """
     if len(train_fold) == 0 or len(val_fold) == 0:
         raise DataError("train and validation folds must be nonempty")
-    crop_size = model.cfg.input_size[0] if crop_size is None else crop_size
     rng = np.random.default_rng([seed, 17])
     n = len(train_fold)
     history = []
@@ -118,7 +116,7 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
     for phase_index, (phase_epochs, active, params, alpha, beta) in enumerate(
         _phases(strategy, epochs, model)
     ):
-        opt = Adam(params, lr=initial_lr)
+        opt = Adam(params)
         for _ in range(phase_epochs):
             lr = lr_schedule(initial_lr, epoch)
             order = rng.permutation(n)
@@ -126,7 +124,7 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
             steps = 0
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                xb = crop_batch(train_fold.images[idx], crop_size, training=True, rng=rng)
+                xb = crop_batch(train_fold.images[idx], model.cfg.input_size[0], training=True, rng=rng)
                 out = model.forward(xb, training=True, seed=int(rng.integers(2**31)))
                 (ce_val, ms_val, fce_val), grads = _losses_and_grads(
                     out, train_fold.labels[idx], active, alpha, beta
@@ -148,7 +146,7 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
                         )
                 sums += (alpha * ce_val, alpha * ms_val, beta * fce_val)
                 steps += 1
-            scores = score_fold(model, val_fold, crop_size=crop_size)
+            scores = score_fold(model, val_fold)
             try:
                 val_auc = macro_auc(ScoreMatrix(scores[model.primary_head], val_fold.labels))
             except UndefinedMetricError:
@@ -160,7 +158,7 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
     return history
 
 
-def score_fold(model, fold: FoldData, crop_size=None):
+def score_fold(model, fold: FoldData):
     """Eval-mode probabilities per head over a whole fold.
 
     Batches are pure forward passes, so they run on the worker pool (none
@@ -169,8 +167,7 @@ def score_fold(model, fold: FoldData, crop_size=None):
     """
     if len(fold) == 0:
         raise DataError("cannot score an empty fold")
-    crop_size = model.cfg.input_size[0] if crop_size is None else crop_size
-    xb = crop_batch(fold.images, crop_size, training=False)
+    xb = crop_batch(fold.images, model.cfg.input_size[0], training=False)
     batches = [xb[i : i + SCORE_BATCH] for i in range(0, xb.shape[0], SCORE_BATCH)]
 
     def run(batch):

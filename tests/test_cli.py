@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -246,7 +247,6 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
                      "--data", str(data_dir), "--split", "test",
                      "--head", "fused", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
         model = model_from_checkpoint(trained_dir / "model.ckpt")
         folds, class_names = cli_mod.load_folds(data_dir)
         scores = score_fold(model, folds["test"])
@@ -254,7 +254,7 @@ class TestEval:
         expected = build_report(
             ScoreMatrix(fused, folds["test"].labels.astype(np.int8), class_names)
         )
-        assert report["macro_auc"] == expected.macro_auc
+        assert out.read_text() == expected.to_json() + "\n"
 
     def test_bad_head_flag_exits_2(self, data_dir, trained_dir, tmp_path):
         code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
@@ -313,6 +313,19 @@ class TestEval:
                      "--data", str(data_dir), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "head_ce.w holds a NaN" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_corrupt_checkpoint_meta_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
+        blob = bytearray((trained_dir / "model.ckpt").read_bytes())
+        name = b"meta.conv_blocks"
+        rank_at = blob.index(name) + len(name)
+        first_value = rank_at + 4 + 4 * 2  # rank, then two dims
+        struct.pack_into("<d", blob, first_value, -16.0)
+        (tmp_path / "model.ckpt").write_bytes(bytes(blob))
+        code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(data_dir), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "meta.conv_blocks" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
 

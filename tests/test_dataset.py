@@ -122,7 +122,7 @@ class TestTemplates:
 class TestSplit:
     def test_grouped_folds_share_no_groups(self):
         data = ds.generate(small_spec())
-        folds = ds.split(data, ds.SplitSpec(seed=3))
+        folds = ds.split(data, 3)
         groups = {name: set(data.group_ids[idx].tolist()) for name, idx in folds.items()}
         assert groups["train"] & groups["val"] == set()
         assert groups["train"] & groups["test"] == set()
@@ -130,13 +130,13 @@ class TestSplit:
 
     def test_folds_partition_all_samples(self):
         data = ds.generate(small_spec())
-        folds = ds.split(data, ds.SplitSpec(seed=3))
+        folds = ds.split(data, 3)
         merged = np.sort(np.concatenate(list(folds.values())))
         np.testing.assert_array_equal(merged, np.arange(len(data)))
 
     def test_group_counts_within_one_of_targets(self):
         data = ds.generate(ds.GeneratorSpec(num_samples=1000, num_groups=100, seed=4))
-        folds = ds.split(data, ds.SplitSpec(seed=4))
+        folds = ds.split(data, 4)
         counts = {name: len(set(data.group_ids[idx].tolist())) for name, idx in folds.items()}
         assert abs(counts["train"] - 70) <= 1
         assert abs(counts["val"] - 10) <= 1
@@ -144,38 +144,33 @@ class TestSplit:
 
     def test_same_seed_same_folds(self):
         data = ds.generate(small_spec())
-        a = ds.split(data, ds.SplitSpec(seed=9))
-        b = ds.split(data, ds.SplitSpec(seed=9))
+        a = ds.split(data, 9)
+        b = ds.split(data, 9)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_too_few_groups(self):
         data = ds.generate(small_spec(num_groups=5))
         with pytest.raises(DataError):
-            ds.split(data, ds.SplitSpec())
-
-    def test_ungrouped_split(self):
-        data = ds.generate(small_spec())
-        folds = ds.split(data, ds.SplitSpec(grouped=False, seed=1))
-        sizes = {name: idx.size for name, idx in folds.items()}
-        assert sizes == {"train": 140, "val": 20, "test": 40}
+            ds.split(data, 0)
 
 
 class TestNormalize:
     def test_train_fold_standardized(self):
         data = ds.generate(small_spec())
-        folds = ds.split(data, ds.SplitSpec(seed=2))
+        folds = ds.split(data, 2)
         images = {k: data.images[v] for k, v in folds.items()}
-        normed, (mean, std) = ds.normalize(images, images["train"])
+        normed = ds.normalize(images, images["train"])
         post_mean, post_std = ds.channel_stats(normed["train"])
         assert np.abs(post_mean).max() < 1e-10
         np.testing.assert_allclose(post_std, 1.0, atol=1e-6)
 
     def test_test_fold_uses_train_stats(self):
         data = ds.generate(small_spec())
-        folds = ds.split(data, ds.SplitSpec(seed=2))
+        folds = ds.split(data, 2)
         images = {k: data.images[v] for k, v in folds.items()}
-        normed, (mean, std) = ds.normalize(images, images["train"])
+        normed = ds.normalize(images, images["train"])
+        mean, std = ds.channel_stats(images["train"])
         expected = (images["test"].astype(np.float64) - mean[None, :, None, None]) / std[None, :, None, None]
         np.testing.assert_allclose(normed["test"], expected, atol=1e-12)
         post_mean, _ = ds.channel_stats(normed["test"])
@@ -183,7 +178,7 @@ class TestNormalize:
 
     def test_constant_channel_maps_to_zeros(self):
         images = {"train": np.full((5, 1, 4, 4), 0.3, dtype=np.float32)}
-        normed, _ = ds.normalize(images, images["train"])
+        normed = ds.normalize(images, images["train"])
         np.testing.assert_array_equal(normed["train"], np.zeros((5, 1, 4, 4)))
         assert np.isfinite(normed["train"]).all()
 
@@ -272,7 +267,7 @@ class TestStorage:
 
     def test_splits_round_trip(self, tmp_path):
         data = ds.generate(small_spec())
-        folds = ds.split(data, ds.SplitSpec(seed=5))
+        folds = ds.split(data, 5)
         ds.save_splits(folds, tmp_path / "splits.json")
         back = ds.load_splits(tmp_path / "splits.json", len(data))
         for name in folds:
@@ -289,10 +284,28 @@ class TestStorage:
         with pytest.raises(FormatError, match="row 5 .*0 or 1"):
             ds.load(tmp_path)
 
+    def test_non_utf8_labels_name_the_offset(self, tmp_path):
+        ds.save(ds.generate(small_spec(num_samples=10)), tmp_path)
+        blob = bytearray((tmp_path / "labels.csv").read_bytes())
+        blob[40] = 0xFF
+        (tmp_path / "labels.csv").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="labels.csv is not UTF-8") as err:
+            ds.load(tmp_path)
+        assert err.value.offset == 40
+
+    def test_oversized_labels_field_raises_format_error(self, tmp_path):
+        ds.save(ds.generate(small_spec(num_samples=10)), tmp_path)
+        lines = (tmp_path / "labels.csv").read_text().splitlines()
+        lines[3] += "0" * 200_000  # beyond the csv module's field size limit
+        (tmp_path / "labels.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="labels.csv is not valid CSV"):
+            ds.load(tmp_path)
+
     def test_ungrouped_splits_load(self, tmp_path):
-        # grouped=False may put a group in several folds; loading accepts that
+        # a split made elsewhere may put a group in several folds; loading accepts that
         data = ds.generate(small_spec())
-        folds = ds.split(data, ds.SplitSpec(grouped=False, seed=2))
+        order = np.random.default_rng(2).permutation(len(data))
+        folds = {"train": order[:140], "val": order[140:160], "test": order[160:]}
         ds.save_splits(folds, tmp_path / "splits.json")
         back = ds.load_splits(tmp_path / "splits.json", len(data))
         assert sum(map(len, back.values())) == len(data)
@@ -309,7 +322,7 @@ class TestStorage:
     )
     def test_bad_split_index_names_the_fold(self, tmp_path, corrupt, message):
         data = ds.generate(small_spec())
-        folds = {name: idx.tolist() for name, idx in ds.split(data, ds.SplitSpec(seed=5)).items()}
+        folds = {name: idx.tolist() for name, idx in ds.split(data, 5).items()}
         corrupt(folds)
         ds.save_splits(folds, tmp_path / "splits.json")
         with pytest.raises(FormatError, match=message):

@@ -1,10 +1,12 @@
 """Model construction, forward contracts, optimizer, and checkpoints."""
 
+import struct
 import threading
 
 import numpy as np
 import pytest
 
+from msml import model as model_mod
 from msml import ops
 from msml.errors import ConfigError, DimensionError, FormatError
 from msml.gradcheck import TOLERANCES, run_scope
@@ -17,7 +19,6 @@ from msml.model import (
     Model,
     ModelConfig,
     TwoStreamModel,
-    ensemble_fuse,
     lr_schedule,
     model_from_checkpoint,
     predict,
@@ -31,6 +32,14 @@ TINY = ModelConfig(
     backbone=BackboneConfig(input_channels=1, conv_blocks=((4, 3, True), (6, 3, True))),
     proj_width=5,
 )
+
+
+def save_with_meta(path, monkeypatch, name, value):
+    """Save a TINY two-stream checkpoint whose meta tensor ``name`` holds ``value``."""
+    real = model_mod._meta_tensors
+    monkeypatch.setattr(model_mod, "_meta_tensors", lambda m: [
+        (n, np.array(value) if n == name else v) for n, v in real(m)])
+    save_checkpoint(TwoStreamModel(TINY, seed=9), path)
 
 
 def params_dict(model):
@@ -228,8 +237,8 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = np.ones((3, 2))
         g = np.zeros((3, 2))
-        opt = Adam([("p", p, g)], lr=0.1)
-        opt.step()
+        opt = Adam([("p", p, g)])
+        opt.step(0.1)
         np.testing.assert_array_equal(p, np.ones((3, 2)))
 
     def test_hand_computed_first_step(self):
@@ -237,8 +246,8 @@ class TestAdam:
         # update = -lr * g / (|g| + eps)
         g = np.array([0.3, -2.0, 0.001])
         p = np.zeros(3)
-        opt = Adam([("p", p, g.copy())], lr=1e-2)
-        opt.step()
+        opt = Adam([("p", p, g.copy())])
+        opt.step(1e-2)
         expected = -1e-2 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p, expected, rtol=1e-12)
 
@@ -249,10 +258,10 @@ class TestAdam:
         def run():
             p = np.ones((4, 3))
             g = np.zeros((4, 3))
-            opt = Adam([("p", p, g)], lr=1e-3)
+            opt = Adam([("p", p, g)])
             for step_grad in grads:
                 g[...] = step_grad
-                opt.step()
+                opt.step(1e-3)
             return p
 
         np.testing.assert_array_equal(run(), run())
@@ -262,7 +271,7 @@ class TestAdam:
         shapes = [(4, 3), (7,), (2, 3, 3, 3)]
         grads = [[rng.normal(size=s) for s in shapes] for _ in range(6)]
         params = [rng.normal(size=s) for s in shapes]
-        opt = Adam([(str(i), p.copy(), np.zeros(p.shape)) for i, p in enumerate(params)], lr=3e-3)
+        opt = Adam([(str(i), p.copy(), np.zeros(p.shape)) for i, p in enumerate(params)])
         ref_p = [p.copy() for p in params]
         ref_m = [np.zeros(s) for s in shapes]
         ref_v = [np.zeros(s) for s in shapes]
@@ -270,7 +279,7 @@ class TestAdam:
         for t, step_grads in enumerate(grads, start=1):
             for (_, _, g), step_grad in zip(opt.params, step_grads):
                 g[...] = step_grad
-            opt.step()
+            opt.step(lr)
             c1, c2 = 1.0 - b1**t, 1.0 - b2**t
             for p, m, v, g in zip(ref_p, ref_m, ref_v, step_grads):
                 m *= b1
@@ -285,7 +294,7 @@ class TestAdam:
         opt = Adam([("p", np.zeros((2, 2)), np.zeros((2, 2)))])
         opt.params[0] = ("p", np.zeros((2, 2)), np.zeros(3))
         with pytest.raises(DimensionError):
-            opt.step()
+            opt.step(1e-3)
 
 
 class TestLrSchedule:
@@ -327,28 +336,6 @@ class TestPredict:
         probs = predict(m, np.zeros((6, 1, 8, 8)))
         assert set(probs) == {"ce"}
         assert probs["ce"].shape == (6, 4)
-
-
-class TestEnsembleFuse:
-    def test_identical_inputs_idempotent(self):
-        a = np.random.default_rng(0).random((4, 3))
-        np.testing.assert_array_equal(ensemble_fuse([a, a]), a)
-
-    def test_mean_of_two(self):
-        a = np.full((2, 2), 0.2)
-        b = np.full((2, 2), 0.8)
-        np.testing.assert_allclose(ensemble_fuse([a, b]), np.full((2, 2), 0.5), atol=1e-15)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(1)
-        sets = [rng.random((3, 2)) for _ in range(4)]
-        np.testing.assert_allclose(
-            ensemble_fuse(sets), ensemble_fuse(sets[::-1]), atol=1e-15
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            ensemble_fuse([np.zeros((2, 2)), np.zeros((3, 2))])
 
 
 class TestCheckpoints:
@@ -415,3 +402,49 @@ class TestCheckpoints:
         save_checkpoint(m, path)
         with pytest.raises(FormatError, match="head_ce.w holds a NaN or an infinity"):
             read_checkpoint(path)
+
+    def test_non_utf8_tensor_name_names_the_offset(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(TwoStreamModel(TINY, seed=9), path)
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"head_ce.w")
+        blob[at] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="tensor name is not UTF-8") as err:
+            read_checkpoint(path)
+        assert err.value.offset == at
+
+    def test_rank_above_four_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(TwoStreamModel(TINY, seed=9), path)
+        blob = bytearray(path.read_bytes())
+        name = b"stream_a.block0.conv.w"
+        struct.pack_into("<I", blob, blob.index(name) + len(name), 68)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="stream_a.block0.conv.w has rank 68"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("meta.conv_blocks", [[-16.0, 3.0, 1.0], [6.0, 3.0, 1.0]]),
+            ("meta.conv_blocks", [[4.0, 3.0, 2.0], [6.0, 3.0, 1.0]]),
+            ("meta.input_size", [8.0]),
+            ("meta.input_size", [1.0, 1.0]),
+            ("meta.input_channels", [0.5]),
+            ("meta.kind", [3.0]),
+            ("meta.dropout_rate", [1.0]),
+        ],
+        ids=["negative-channels", "pool-flag-2", "one-entry-size", "size-1x1", "fractional-channels",
+             "kind-3", "dropout-1"],
+    )
+    def test_bad_meta_tensor_named_before_building(self, tmp_path, monkeypatch, name, value):
+        save_with_meta(tmp_path / "m.ckpt", monkeypatch, name, value)
+        with pytest.raises(FormatError, match=name):
+            model_from_checkpoint(tmp_path / "m.ckpt")
+
+    def test_meta_describing_a_weight_larger_than_the_file_is_rejected(self, tmp_path, monkeypatch):
+        # 2**50 projection columns would need far more memory than exists
+        save_with_meta(tmp_path / "m.ckpt", monkeypatch, "meta.proj_width", [2.0**50])
+        with pytest.raises(FormatError, match="weight; its largest tensor has"):
+            model_from_checkpoint(tmp_path / "m.ckpt")

@@ -1,0 +1,36 @@
+"""Parameter drift between two output trees of tools/bytecheck.sh.
+
+usage: python tools/drift.py OLD_OUT NEW_OUT
+
+For each model.ckpt under OLD_OUT, prints the largest absolute difference
+from the checkpoint at the same relative path under NEW_OUT, and the tensor
+it is in. This is the drift a change that alters output bits states.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from msml.model import read_checkpoint  # noqa: E402
+
+
+def main(old_out, new_out):
+    old_out, new_out = Path(old_out), Path(new_out)
+    for old in sorted(old_out.rglob("model.ckpt")):
+        rel = old.relative_to(old_out)
+        _, a = read_checkpoint(old)
+        _, b = read_checkpoint(new_out / rel)
+        if a.keys() != b.keys() or any(a[k].shape != b[k].shape for k in a):
+            print(f"{rel}: tensor names or shapes differ")
+            continue
+        drift = {name: float(np.max(np.abs(a[name] - b[name]), initial=0.0)) for name in a}
+        worst = max(drift, key=drift.get)
+        print(f"{rel}: max |diff| {drift[worst]:.3e} in {worst}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    main(*sys.argv[1:])
