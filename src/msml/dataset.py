@@ -296,6 +296,9 @@ def load(directory) -> Dataset:
             offset=min(len(raw), expected),
         )
     images = np.frombuffer(raw, dtype="<f4", offset=header_end).reshape(n, channels, h, w).copy()
+    finite = np.isfinite(images)
+    if not finite.all():  # argmin finds the first False of the flattened array
+        raise FormatError("images.bin holds a NaN or an infinite pixel", offset=header_end + 4 * int(np.argmin(finite)))
 
     text = decode_utf8((directory / "labels.csv").read_bytes(), "labels.csv")
     try:

@@ -6,8 +6,8 @@ arrays to differentiate, a scalar objective of them and the analytic
 gradients. Op objectives contract the op's output with a random weighting;
 loss objectives are the (N, C) batch losses the training step calls; the
 model objective is the composite loss at one parameter coordinate of a
-miniature two-stream model, in eval mode for the first half of the draws and
-in training mode, with a fixed dropout mask, for the second half.
+miniature two-stream model in training mode, without dropout for the first
+half of the draws and with a fixed dropout mask for the second half.
 
 The error of a draw is the max-norm relative error
 ``max|a - n| / max(max|a|, max|n|, 1e-8)``, worst over its gradient tensors.
@@ -18,6 +18,8 @@ would catch a wrong gradient.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -117,18 +119,18 @@ _MODEL_CFG = ModelConfig(
 
 
 def _model(rng, i):
-    """Composite-loss gradient at one random parameter coordinate; draws in
-    the second half run in training mode with dropout mask seed ``i``."""
-    model = TwoStreamModel(_MODEL_CFG, seed=4)
+    """Composite-loss gradient of a training pass at one random parameter coordinate;
+    the first half of the draws run without dropout, the rest with dropout mask seed ``i``."""
+    cfg = _MODEL_CFG if i >= MODEL_DRAWS // 2 else dataclasses.replace(_MODEL_CFG, dropout_rate=0.0)
+    model = TwoStreamModel(cfg, seed=4)
     batch = rng.normal(size=(2, 1, 8, 8))
     labels = rng.integers(0, 2, size=(2, 4))
-    training = i >= MODEL_DRAWS // 2
     w = model.loss_weights
-    out = model.forward(batch, training=training, seed=i)
+    out = model.forward(batch, training=True, seed=i)
     model.backward(out.tape, *_losses_and_grads(out, labels, ("ce", "msml", "fce"), w.alpha, w.beta)[1])
 
     def objective():
-        (ce, ms, fce), _ = _losses_and_grads(model.forward(batch, training, i), labels, (), 0.0, 0.0)
+        (ce, ms, fce), _ = _losses_and_grads(model.forward(batch, True, i), labels, (), 0.0, 0.0)
         return total_loss(ce, ms, fce, w)
 
     params = model.params()

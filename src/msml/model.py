@@ -171,7 +171,13 @@ class Conv2d:
         self.db = np.zeros_like(self.b)
         self.pool = pool
 
-    def forward(self, x):
+    def forward(self, x, training=False):
+        """(output, cache); an eval pass keeps no cache, so its column matrix is freed after the GEMM."""
+        if not training:
+            out = ops.conv2d_forward(x, self.w)[0]
+            if self.pool:
+                out = ops.maxpool2d(out)
+            return np.maximum(out + self.b[None, :, None, None], 0.0), None
         out, conv_cache = ops.conv2d_forward(x, self.w)
         pool_cache = None
         if self.pool:
@@ -205,13 +211,13 @@ class Backbone:
             self.convs.append(Conv2d(in_ch, out_ch, kernel, rng, pool))
             in_ch = out_ch
 
-    def forward(self, x):
-        """Return the feature maps and the tape ``backward`` needs."""
+    def forward(self, x, training=False):
+        """Return the feature maps and the tape ``backward`` needs, or None in eval mode."""
         tape = []
         for conv in self.convs:
-            x, cache = conv.forward(x)
+            x, cache = conv.forward(x, training)
             tape.append(cache)
-        return x, tape
+        return x, tape if training else None
 
     def backward(self, dout, tape):
         """Accumulate the parameter gradients; the input image gets no gradient."""
@@ -234,7 +240,7 @@ class ForwardPass:
     logits_ce: np.ndarray | None
     logits_msml: np.ndarray | None
     logits_fce: np.ndarray | None
-    tape: tuple  # all that the model's backward needs; models keep no per-call state
+    tape: tuple | None  # all that backward needs (None in eval mode); models keep no per-call state
 
 
 def _check_batch(batch, cfg: ModelConfig):
@@ -289,7 +295,7 @@ class TwoStreamModel(Model):
         # Eval-mode passes run inline: score_fold already runs them on the pool.
         (fa, tape_a), (fb, tape_b) = _both(
             worker_pool() if training else None,
-            lambda: self.stream_a.forward(batch), lambda: self.stream_b.forward(batch),
+            lambda: self.stream_a.forward(batch, training), lambda: self.stream_b.forward(batch, training),
         )
 
         drop_a, mask_a = ops.dropout_forward(fa.reshape(n, -1), rate, training, [seed, 0])
@@ -301,7 +307,7 @@ class TwoStreamModel(Model):
         logits_fce, head_cache = bl.bilinear_head_batch(
             fa, fb, self.proj.w, self.proj.b, self.cls.w, self.cls.b
         )
-        tape = (fa.shape, tape_a, tape_b, mask_a, mask_b, ce_cache, msml_cache, head_cache)
+        tape = (fa.shape, tape_a, tape_b, mask_a, mask_b, ce_cache, msml_cache, head_cache) if training else None
         return ForwardPass(logits_ce, logits_msml, logits_fce, tape)
 
     def backward(self, tape, d_ce=None, d_msml=None, d_fce=None):
@@ -355,10 +361,11 @@ class BaselineModel(Model):
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         batch = _check_batch(batch, self.cfg)
         n = batch.shape[0]
-        fa, backbone_tape = self.backbone.forward(batch)
+        fa, backbone_tape = self.backbone.forward(batch, training)
         drop, mask = ops.dropout_forward(fa.reshape(n, -1), self.cfg.dropout_rate, training, [seed, 0])
         logits_ce, head_cache = self.head_ce.forward(drop)
-        return ForwardPass(logits_ce, None, None, (fa.shape, backbone_tape, mask, head_cache))
+        tape = (fa.shape, backbone_tape, mask, head_cache) if training else None
+        return ForwardPass(logits_ce, None, None, tape)
 
     def backward(self, tape, d_ce=None, d_msml=None, d_fce=None):
         if d_ce is None:

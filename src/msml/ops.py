@@ -4,7 +4,9 @@ Every layer op comes as an explicit forward/backward pair (no taped
 autodiff). Forward returns ``(out, cache)``; backward consumes the upstream
 gradient and the cache and returns gradients for the forward inputs. All
 analytic gradients are finite-difference checked by ``msml.gradcheck``.
-``sigmoid`` is a forward only: the BCE gradient in logit space is z - y.
+``sigmoid`` and ``maxpool2d`` are forwards only: the BCE gradient in logit
+space is z - y, and ``maxpool2d`` gives eval passes the pooled maxima without
+the routing masks that ``maxpool2d_forward`` builds for its backward.
 """
 
 from __future__ import annotations
@@ -116,16 +118,22 @@ def _pool_views(x):
     return [x[:, :, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1)]
 
 
-def maxpool2d_forward(x):
-    """2x2 max-pool with stride 2. Ties route to the first maximum in row-major order."""
+def maxpool2d(x):
+    """The maxima of a 2x2 max-pool with stride 2, in x's memory order."""
     x = _as_f64(x)
     if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
         raise DimensionError(f"maxpool2d expects 4-d input of at least 2x2, got {x.shape}")
     views = _pool_views(x)
-    out = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    return np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+
+
+def maxpool2d_forward(x):
+    """2x2 max-pool with stride 2. Ties route to the first maximum in row-major order."""
+    x = _as_f64(x)
+    out = maxpool2d(x)
     taken = np.zeros_like(out, dtype=bool)  # the masks keep x's memory order
     masks = []
-    for view in views:
+    for view in _pool_views(x):
         masks.append((view == out) & ~taken)
         taken |= masks[-1]
     return out, (masks, x.shape)

@@ -1,8 +1,10 @@
 """Damaged artifacts: a truncated or bit-flipped checkpoint, images.bin,
-labels.csv or splits.json either loads or raises FormatError or DataError."""
+labels.csv or splits.json either loads or raises FormatError or DataError,
+and a damaged images.bin that loads holds only finite pixels."""
 
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -52,4 +54,5 @@ def test_damaged_artifact_loads_or_raises_format_or_data_error(pristine, tmp_pat
         load_folds(work)
         model_from_checkpoint(work / "model.ckpt")
     except (FormatError, DataError):
-        pass
+        return
+    assert np.isfinite(ds.load(work).images).all()

@@ -305,6 +305,18 @@ class TestEval:
         assert "splits.json is not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_non_finite_pixel_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        blob = bytearray((copy / "images.bin").read_bytes())
+        struct.pack_into("<f", blob, 24 + 4 * 100, np.inf)
+        (copy / "images.bin").write_bytes(bytes(blob))
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--data", str(copy), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "infinite pixel (at byte offset 424)" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_finite_checkpoint_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
         model = model_from_checkpoint(trained_dir / "model.ckpt")
         model.head_ce.w[0, 0] = np.nan

@@ -301,6 +301,17 @@ class TestStorage:
         with pytest.raises(FormatError, match="labels.csv is not valid CSV"):
             ds.load(tmp_path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_pixel_names_its_offset(self, tmp_path, value):
+        data = ds.generate(small_spec(num_samples=10))
+        data.images[3, 0, 5, 7] = value
+        data.images[6, 0, 1, 2] = value  # only the first bad pixel is named
+        ds.save(data, tmp_path)
+        with pytest.raises(FormatError, match="NaN or an infinite pixel") as err:
+            ds.load(tmp_path)
+        flat = np.ravel_multi_index((3, 0, 5, 7), data.images.shape)
+        assert err.value.offset == 24 + 4 * flat
+
     def test_ungrouped_splits_load(self, tmp_path):
         # a split made elsewhere may put a group in several folds; loading accepts that
         data = ds.generate(small_spec())

@@ -1,7 +1,9 @@
 """Model construction, forward contracts, optimizer, and checkpoints."""
 
+import dataclasses
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +188,8 @@ class TestStreamThreads:
         m = TwoStreamModel(TINY, seed=1)
         rng = np.random.default_rng(10)
         out = m.forward(rng.normal(size=(2, 1, 8, 8)), training=training, seed=3)
-        m.backward(out.tape, *(rng.normal(size=(2, TINY.num_classes)) for _ in range(3)))
+        if training:  # an eval pass keeps no tape to run backward on
+            m.backward(out.tape, *(rng.normal(size=(2, TINY.num_classes)) for _ in range(3)))
         here = threading.get_ident()
         return {(("a" if stream is m.stream_a else "b"), method, thread == here)
                 for stream, method, thread in calls}
@@ -200,12 +203,60 @@ class TestStreamThreads:
     def test_eval_forward_runs_both_streams_here(self, monkeypatch):
         monkeypatch.setenv("MSML_THREADS", "2")
         assert self.threads_of_stream_passes(monkeypatch, training=False) == {
-            ("a", "forward", True), ("b", "forward", True),
-            ("a", "backward", False), ("b", "backward", True)}
+            ("a", "forward", True), ("b", "forward", True)}
 
     def test_one_thread_runs_everything_here(self, monkeypatch):
         monkeypatch.setenv("MSML_THREADS", "1")
         assert {here for _, _, here in self.threads_of_stream_passes(monkeypatch, training=True)} == {True}
+
+
+class TestEvalPass:
+    """An eval forward keeps no tape, and its logits are the bits of a taped
+    training pass of the same model without dropout."""
+
+    # an unpooled block, then pools that drop an odd last row and column
+    ODD = ModelConfig(num_classes=3, input_size=(11, 9), proj_width=4,
+                      backbone=BackboneConfig(1, ((4, 3, False), (5, 3, True), (6, 5, True))))
+
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
+    def test_eval_forward_keeps_no_tape(self, build):
+        assert build(TINY, seed=1).forward(np.zeros((2, 1, 8, 8)), training=False).tape is None
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), ODD], ids=["default", "odd"])
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
+    def test_eval_logits_match_a_dropout_free_training_pass(self, build, cfg):
+        rng = np.random.default_rng(14)
+        model = build(cfg, seed=3)
+        oracle = build(dataclasses.replace(cfg, dropout_rate=0.0), seed=3)
+        for (name, value, _), (_, same, _) in zip(model.params(), oracle.params()):
+            if name.endswith(".b"):  # biases start at zero; give them values
+                value[...] = same[...] = rng.normal(scale=0.1, size=value.shape)
+        batch = rng.normal(size=(5, 1, *cfg.input_size))
+        out = model.forward(batch, training=False)
+        ref = oracle.forward(batch, training=True, seed=2)
+        assert ref.tape is not None
+        for head in model.heads:
+            np.testing.assert_array_equal(getattr(out, f"logits_{head}"), getattr(ref, f"logits_{head}"))
+
+    def test_eval_forward_frees_its_intermediates(self):
+        model = TwoStreamModel(ModelConfig(), seed=1)
+        batch = np.random.default_rng(15).normal(size=(64, 1, 28, 28))
+
+        def traced(training):
+            model.forward(batch, training=training, seed=2)  # warm the pool and BLAS buffers
+            tracemalloc.start()
+            try:
+                out = model.forward(batch, training=training, seed=2)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.logits_fce.shape == (64, 8)
+            return kept, peak
+
+        kept, eval_peak = traced(False)
+        _, train_peak = traced(True)
+        assert kept < 4 * 2**20
+        assert eval_peak < train_peak / 2
 
 
 class TestConvBlock:

@@ -1,5 +1,5 @@
 #!/bin/sh
-# usage: bytecheck.sh SRC_TREE OUT_DIR -- gen-data, three trains, three evals; sha256 of every output
+# usage: bytecheck.sh SRC_TREE OUT_DIR -- gen-data, three trains, four evals; sha256 of every output
 set -e
 SRC=$1; OUT=$2
 rm -rf "$OUT"; mkdir -p "$OUT"
@@ -14,6 +14,9 @@ for run in two_stream:global two_stream:local baseline:global; do
   msml train --config "$OUT/cfg_${model}_${strategy}.txt"
 done
 msml eval --checkpoint "$OUT/run_two_stream_global/model.ckpt" --data "$OUT/data" --head fce --out "$OUT/eval_fce/report.json"
+# scoring must not depend on the thread count: this report must hash like eval_fce's
+MSML_THREADS=1 msml eval --checkpoint "$OUT/run_two_stream_global/model.ckpt" --data "$OUT/data" --head fce \
+  --out "$OUT/eval_fce_1thread/report.json"
 msml eval --checkpoint "$OUT/run_two_stream_global/model.ckpt" --data "$OUT/data" --head fused --out "$OUT/eval_fused/report.json"
 msml eval --checkpoint "$OUT/run_baseline_global/model.ckpt" --data "$OUT/data" --head ce --out "$OUT/eval_ce/report.json"
 cd "$OUT" && find . -type f \( -name images.bin -o -name labels.csv -o -name splits.json -o -name manifest.txt \
