@@ -24,7 +24,6 @@ from .losses import LossWeights, msml, sigmoid_bce, total_loss
 from .metrics import MetricsReport, ScoreMatrix, build_report, macro_auc, roc_auc
 from .model import (
     Adam,
-    BackboneConfig,
     BaselineModel,
     ModelConfig,
     TwoStreamModel,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "BackboneConfig",
     "BaselineModel",
     "ConfigError",
     "DataError",

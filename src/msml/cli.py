@@ -25,14 +25,7 @@ from .errors import ConfigError, DataError, MsmlError, NumericalError
 from .gradcheck import SCOPES, TOLERANCES, run_scope
 from .losses import LossWeights
 from .metrics import ScoreMatrix, build_report
-from .model import (
-    BackboneConfig,
-    BaselineModel,
-    ModelConfig,
-    TwoStreamModel,
-    model_from_checkpoint,
-    save_checkpoint,
-)
+from .model import MODELS, ModelConfig, model_from_checkpoint, save_checkpoint
 from .train import HISTORY_COLUMNS, STRATEGIES, FoldData, score_fold, train
 
 
@@ -58,15 +51,13 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def validate(self):
-        if self.model not in ("two_stream", "baseline"):
-            raise ConfigError(f"model must be two_stream or baseline, got {self.model!r}")
+        if self.model not in MODELS:
+            raise ConfigError(f"model must be one of {sorted(MODELS)}, got {self.model!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose one of {STRATEGIES}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        BackboneConfig(conv_blocks=self.conv_blocks).validate()
-        if self.proj_width < 1:
-            raise ConfigError(f"proj_width must be >= 1, got {self.proj_width}")
+        self.model_config().validate()
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for key in ("alpha", "beta"):
@@ -77,6 +68,11 @@ class ExperimentConfig:
         if not self.dataset or not self.out_dir:
             raise ConfigError("config needs both dataset and out_dir")
         return self
+
+    def model_config(self, num_classes=1, input_channels=1):
+        """The ModelConfig this experiment builds for a dataset with these counts."""
+        return ModelConfig(num_classes, (self.crop_size, self.crop_size), input_channels,
+                           self.conv_blocks, self.proj_width, self.dropout_rate)
 
 
 def load_folds(data_dir, names=None):
@@ -94,19 +90,6 @@ def load_folds(data_dir, names=None):
     normed = ds.normalize(images, data.images[folds_idx["train"]])
     folds = {name: FoldData(normed[name], data.labels[folds_idx[name]].astype(np.float64)) for name in names}
     return folds, data.class_names
-
-
-def build_model_from_config(cfg: ExperimentConfig, num_classes: int, input_channels: int):
-    model_cfg = ModelConfig(
-        num_classes=num_classes,
-        input_size=(cfg.crop_size, cfg.crop_size),
-        backbone=BackboneConfig(input_channels=input_channels, conv_blocks=cfg.conv_blocks),
-        proj_width=cfg.proj_width,
-        dropout_rate=cfg.dropout_rate,
-    )
-    if cfg.model == "baseline":
-        return BaselineModel(model_cfg, cfg.seed)
-    return TwoStreamModel(model_cfg, cfg.seed, LossWeights(cfg.alpha, cfg.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +112,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = ds.parse_fields(ExperimentConfig, Path(args.config).read_text())
     folds, class_names = load_folds(cfg.dataset, ("train", "val"))
-    model = build_model_from_config(cfg, len(class_names), folds["train"].images.shape[1])
+    model_cfg = cfg.model_config(len(class_names), folds["train"].images.shape[1])
+    model = MODELS[cfg.model](model_cfg, cfg.seed, LossWeights(cfg.alpha, cfg.beta))
     history = train(
         model,
         folds["train"],
@@ -153,20 +137,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = model_from_checkpoint(args.checkpoint)
+    needed = ("ce", "fce") if args.head == "fused" else (args.head,)
+    if not set(needed) <= set(model.heads):
+        raise ConfigError(f"the {args.head} head needs heads {list(needed)}; the checkpoint has {list(model.heads)}")
     folds, class_names = load_folds(args.data, (args.split,))
     fold = folds[args.split]
     try:
         scores = score_fold(model, fold)
     except DataError as exc:
         raise DataError(f"split {args.split!r}: {exc}") from exc
-    if args.head == "fused":
-        if "fce" not in scores:
-            raise ConfigError("fused head needs a two-stream checkpoint with an fce head")
-        chosen = (scores["ce"] + scores["fce"]) / 2.0
-    else:
-        if args.head not in scores:
-            raise ConfigError(f"checkpoint has heads {sorted(scores)}, not {args.head!r}")
-        chosen = scores[args.head]
+    chosen = sum(scores[head] for head in needed) / len(needed)
     report = build_report(ScoreMatrix(chosen, fold.labels.astype(np.int8), class_names))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

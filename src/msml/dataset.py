@@ -391,7 +391,9 @@ def _parse_value(text, like):
         items = [item.strip() for item in text.split(",")] if text else []
         return tuple(_parse_item(item, like[0]) for item in items)
     if isinstance(like, bool):
-        return bool(int(text))
+        if text not in ("0", "1"):
+            raise ValueError(f"a bool is 0 or 1, got {text!r}")
+        return text == "1"
     return type(like)(text)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import bilinear as bl
 from . import ops
 from .losses import msml_batch, sigmoid_bce_batch, total_loss
-from .model import BackboneConfig, ModelConfig, TwoStreamModel
+from .model import ModelConfig, TwoStreamModel
 from .train import _losses_and_grads
 
 STEP = 1e-5
@@ -113,7 +113,7 @@ MODEL_DRAWS = 20
 _MODEL_CFG = ModelConfig(
     num_classes=4,
     input_size=(8, 8),
-    backbone=BackboneConfig(input_channels=1, conv_blocks=((4, 3, True), (6, 3, True))),
+    conv_blocks=((4, 3, True), (6, 3, True)),
     proj_width=5,
 )
 

@@ -6,34 +6,35 @@ The two streams start from bit-identical backbone weights (built from the
 same seed) and are driven apart during training by their different head
 losses. The bilinear head consumes both streams' final feature maps.
 
-Checkpoints use magic ``MSML0001`` followed by little-endian uint32 class
-count and tensor count, then per tensor: uint32 name length, UTF-8 name,
-uint32 rank, uint32 dims, raw little-endian float64 data. A few ``meta.*``
-tensors carry the architecture so a model can be rebuilt from the file
-alone.
+Checkpoints use magic ``MSML0002``, then a little-endian uint32 length and
+a UTF-8 ``key = value`` block (the ModelConfig fields and the model ``kind``,
+in the syntax of ``dataset.parse_fields``) from which a model can be rebuilt
+from the file alone, then a uint32 tensor count and per tensor: uint32 name
+length, UTF-8 name, uint32 rank, uint32 dims, raw little-endian float64 data.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bilinear as bl
 from . import ops
-from .dataset import decode_utf8, write_atomic
+from .dataset import decode_utf8, format_fields, parse_fields, write_atomic
 from .errors import ConfigError, DimensionError, FormatError
 from .losses import LossWeights
 
 FLOAT = np.float64
 
-CHECKPOINT_MAGIC = b"MSML0001"
+CHECKPOINT_MAGIC = b"MSML0002"
 
 
 # ---------------------------------------------------------------------------
@@ -41,45 +42,45 @@ CHECKPOINT_MAGIC = b"MSML0001"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BackboneConfig:
+class ModelConfig:
+    num_classes: int = 8
+    input_size: tuple[int, int] = (28, 28)
     input_channels: int = 1
     # (out_channels, odd kernel, pool) per block; conv is same-padded, stride 1,
     # pool is a 2x2/2 max pool.
     conv_blocks: tuple = ((16, 3, True), (32, 3, True), (32, 3, True))
+    proj_width: int = 128
+    dropout_rate: float = 0.5
 
     def validate(self):
-        """Raise ConfigError unless there is a block and each has out_channels >= 1
-        and an odd kernel >= 1."""
+        """The one architecture check: raise ConfigError, naming the key, unless
+        this describes a model that can be built."""
+        if self.num_classes < 1 or self.input_channels < 1:
+            raise ConfigError(f"num_classes {self.num_classes} and input_channels {self.input_channels} must be >= 1")
         if not self.conv_blocks:
             raise ConfigError("conv_blocks needs at least one block")
         for out_ch, kernel, _ in self.conv_blocks:
             if out_ch < 1 or kernel < 1 or kernel % 2 == 0:
                 raise ConfigError(f"conv_blocks {out_ch}:{kernel}: needs out_channels >= 1 and an odd kernel >= 1")
+        if len(self.input_size) != 2:
+            raise ConfigError(f"input_size needs two values, got {self.input_size}")
+        _, h, w = self.feature_shape
+        if h < 2 or w < 2:
+            raise ConfigError(f"input_size {self.input_size} leaves {h}x{w} feature maps after conv_blocks; need at least 2x2")
+        if self.proj_width < 1:
+            raise ConfigError(f"proj_width must be >= 1, got {self.proj_width}")
+        if not 0 <= self.dropout_rate < 1:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         return self
 
     @property
-    def feature_channels(self):
-        return self.conv_blocks[-1][0]
-
-    def feature_shape(self, input_hw):
-        h, w = input_hw
+    def feature_shape(self):
+        """(channels, height, width) of the backbone's feature maps."""
+        h, w = self.input_size
         for _, _, pool in self.conv_blocks:
             if pool:
                 h, w = h // 2, w // 2
-        if h < 2 or w < 2:
-            raise ConfigError(
-                f"backbone yields {h}x{w} feature maps for input {input_hw}; need at least 2x2"
-            )
-        return self.feature_channels, h, w
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    num_classes: int = 8
-    input_size: tuple[int, int] = (28, 28)
-    backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    proj_width: int = 128
-    dropout_rate: float = 0.5
+        return self.conv_blocks[-1][0], h, w
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +94,10 @@ _pool_lock = threading.Lock()
 def _num_threads():
     env = os.environ.get("MSML_THREADS", "").strip()
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"MSML_THREADS must be an integer, got {env!r}") from exc
+        workers = int(env) if re.fullmatch(r"[+-]?\d+", env) else 0
+        if workers < 1:
+            raise ConfigError(f"MSML_THREADS must be an integer >= 1, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -203,8 +204,7 @@ class Backbone:
     """Stack of same-padded conv blocks (``Conv2d``: conv -> optional 2x2 maxpool
     -> +bias -> relu)."""
 
-    def __init__(self, cfg: BackboneConfig, rng):
-        self.cfg = cfg
+    def __init__(self, cfg: ModelConfig, rng):
         self.convs = []
         in_ch = cfg.input_channels
         for out_ch, kernel, pool in cfg.conv_blocks:
@@ -245,7 +245,7 @@ class ForwardPass:
 
 def _check_batch(batch, cfg: ModelConfig):
     batch = np.asarray(batch, dtype=FLOAT)
-    expected = (cfg.backbone.input_channels, *cfg.input_size)
+    expected = (cfg.input_channels, *cfg.input_size)
     if batch.ndim != 4 or batch.shape[1:] != expected:
         raise DimensionError.mismatch("model input", batch.shape, ("N", *expected))
     return batch
@@ -256,7 +256,7 @@ class Model:
     and define ``param_groups``, ``forward`` and ``backward(tape, d_ce, d_msml, d_fce)``."""
 
     def __init__(self, cfg: ModelConfig, loss_weights: LossWeights = LossWeights()):
-        self.cfg = cfg
+        self.cfg = cfg.validate()
         self.loss_weights = loss_weights
 
     def params(self):
@@ -277,12 +277,12 @@ class TwoStreamModel(Model):
 
     def __init__(self, cfg: ModelConfig, seed: int, loss_weights: LossWeights = LossWeights()):
         super().__init__(cfg, loss_weights)
-        d, h, w = cfg.backbone.feature_shape(cfg.input_size)
+        d, h, w = cfg.feature_shape
         flat = d * h * w
         # Streams share one seed stream so their initial weights are
         # bit-identical; every head draws from its own stream.
-        self.stream_a = Backbone(cfg.backbone, np.random.default_rng([seed, 0]))
-        self.stream_b = Backbone(cfg.backbone, np.random.default_rng([seed, 0]))
+        self.stream_a = Backbone(cfg, np.random.default_rng([seed, 0]))
+        self.stream_b = Backbone(cfg, np.random.default_rng([seed, 0]))
         self.head_ce = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 1]))
         self.head_msml = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 2]))
         self.proj = Linear(d * d, cfg.proj_width, np.random.default_rng([seed, 3]))
@@ -352,10 +352,10 @@ class BaselineModel(Model):
     heads = ("ce",)
     primary_head = "ce"
 
-    def __init__(self, cfg: ModelConfig, seed: int):
-        super().__init__(cfg)
-        d, h, w = cfg.backbone.feature_shape(cfg.input_size)
-        self.backbone = Backbone(cfg.backbone, np.random.default_rng([seed, 0]))
+    def __init__(self, cfg: ModelConfig, seed: int, loss_weights: LossWeights = LossWeights()):
+        super().__init__(cfg, loss_weights)
+        d, h, w = cfg.feature_shape
+        self.backbone = Backbone(cfg, np.random.default_rng([seed, 0]))
         self.head_ce = Linear(d * h * w, cfg.num_classes, np.random.default_rng([seed, 1]))
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
@@ -378,6 +378,9 @@ class BaselineModel(Model):
         return {"backbones": self.backbone.params("backbone"),
                 "stream_heads": self.head_ce.params("head_ce"),
                 "bilinear_head": []}
+
+
+MODELS = {model_cls.kind: model_cls for model_cls in (TwoStreamModel, BaselineModel)}
 
 
 # ---------------------------------------------------------------------------
@@ -445,26 +448,20 @@ def lr_schedule(initial_lr, epoch):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-# The architecture tensors every checkpoint stores, in this order, after the parameters.
-META = ("meta.kind", "meta.input_size", "meta.input_channels", "meta.conv_blocks",
-        "meta.proj_width", "meta.dropout_rate")
+@dataclass(frozen=True)
+class _Header(ModelConfig):
+    """A checkpoint's ``key = value`` block: the model's ModelConfig and its kind."""
 
-
-def _meta_tensors(model):
-    cfg = model.cfg
-    blocks = [[out_ch, kernel, 1.0 if pool else 0.0] for out_ch, kernel, pool in cfg.backbone.conv_blocks]
-    values = (0.0 if model.kind == "baseline" else 1.0, cfg.input_size, cfg.backbone.input_channels,
-              blocks, cfg.proj_width, cfg.dropout_rate)
-    return [(name, np.atleast_1d(np.array(value, dtype=FLOAT))) for name, value in zip(META, values)]
+    kind: str = TwoStreamModel.kind
 
 
 def save_checkpoint(model, path):
-    tensors = [(name, value) for name, value, _ in model.params()]
-    tensors += _meta_tensors(model)
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<2I", model.cfg.num_classes, len(tensors))
-    for name, value in tensors:
+    block = format_fields(_Header(**vars(model.cfg), kind=model.kind)).encode("utf-8")
+    params = model.params()
+    blob = bytearray(CHECKPOINT_MAGIC)
+    blob += struct.pack("<I", len(block)) + block
+    blob += struct.pack("<I", len(params))
+    for name, value, _ in params:
         encoded = name.encode("utf-8")
         blob += struct.pack("<I", len(encoded))
         blob += encoded
@@ -475,11 +472,11 @@ def save_checkpoint(model, path):
 
 
 def read_checkpoint(path):
-    """Return (num_classes, dict name -> float64 array); FormatError, with a byte
-    offset where one applies, on any corruption the format can detect."""
+    """Return (the parsed model block, dict name -> float64 array); FormatError,
+    with a byte offset where one applies, on any corruption the format can detect."""
     raw = Path(path).read_bytes()
-    if len(raw) < len(CHECKPOINT_MAGIC) or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {raw[:8]!r}", offset=0)
+    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise FormatError(f"checkpoint magic {raw[:8]!r} is not {CHECKPOINT_MAGIC!r}", offset=0)
     off = len(CHECKPOINT_MAGIC)
 
     def take(n, what):
@@ -490,7 +487,15 @@ def read_checkpoint(path):
         off += n
         return chunk
 
-    num_classes, n_tensors = struct.unpack("<2I", take(8, "header"))
+    (block_len,) = struct.unpack("<I", take(4, "block length"))
+    text = decode_utf8(take(block_len, "model block"), "checkpoint model block", off - block_len)
+    try:
+        header = parse_fields(_Header, text)
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint model block: {exc}") from exc
+    if header.kind not in MODELS:
+        raise FormatError(f"checkpoint model block: kind must be one of {sorted(MODELS)}, got {header.kind!r}")
+    (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
     tensors = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
@@ -506,60 +511,27 @@ def read_checkpoint(path):
         tensors[name] = data.reshape(dims).astype(FLOAT)
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes after last tensor", offset=off)
-    return num_classes, tensors
-
-
-def _whole(v, low):
-    return v.size > 0 and (v == np.round(v)).all() and v.min() >= low
-
-
-def _config_from_meta(num_classes, tensors):
-    """The model class and ModelConfig that a checkpoint's meta tensors describe.
-
-    Each meta tensor's shape and range is checked before anything is built, and
-    a bad one raises FormatError naming it. So does a description with a weight
-    larger than the checkpoint's largest tensor, so a corrupt size allocates nothing.
-    """
-    for name in META:
-        if name not in tensors:
-            raise FormatError(f"checkpoint lacks {name}; cannot rebuild the model")
-    kind, size, channels, blocks, width, rate = (tensors[name] for name in META)
-    for name, ok in (
-        ("meta.kind", kind.shape == (1,) and kind[0] in (0.0, 1.0)),
-        ("meta.input_size", size.shape == (2,) and _whole(size, 1)),
-        ("meta.input_channels", channels.shape == (1,) and _whole(channels, 1)),
-        ("meta.conv_blocks", blocks.shape[1:] == (3,) and _whole(blocks, -np.inf) and set(blocks[:, 2]) <= {0, 1}),
-        ("meta.proj_width", width.shape == (1,) and _whole(width, 1)),
-        ("meta.dropout_rate", rate.shape == (1,) and 0.0 <= rate[0] < 1.0),
-    ):
-        if not ok:
-            raise FormatError(f"checkpoint {name} holds {tensors[name].tolist()}, which describes no model")
-    backbone = BackboneConfig(int(channels[0]), tuple((int(o), int(k), bool(p)) for o, k, p in blocks))
-    cfg = ModelConfig(num_classes, (int(size[0]), int(size[1])), backbone, int(width[0]), float(rate[0]))
-    try:
-        backbone.validate()
-    except ConfigError as exc:
-        raise FormatError(f"checkpoint meta.conv_blocks: {exc}") from exc
-    try:
-        d, h, w = backbone.feature_shape(cfg.input_size)
-    except ConfigError as exc:
-        raise FormatError(f"checkpoint meta.input_size: {exc}") from exc
-    model_cls = BaselineModel if kind[0] == 0.0 else TwoStreamModel
-    in_chs = (backbone.input_channels, *(o for o, _, _ in backbone.conv_blocks))
-    weights = [o * i * k * k for (o, k, _), i in zip(backbone.conv_blocks, in_chs)] + [d * h * w * num_classes]
-    if model_cls is TwoStreamModel:
-        weights += [d * d * cfg.proj_width, cfg.proj_width * num_classes]
-    largest = max(value.size for value in tensors.values())
-    if max(weights) > largest:
-        raise FormatError(f"checkpoint meta describes a {max(weights)}-value weight; its largest tensor has {largest}")
-    return model_cls, cfg
+    return header, tensors
 
 
 def model_from_checkpoint(path):
-    """Rebuild a model from a checkpoint's meta tensors and load its weights."""
-    num_classes, tensors = read_checkpoint(path)
-    model_cls, cfg = _config_from_meta(num_classes, tensors)
-    model = model_cls(cfg, seed=0)
+    """Rebuild a model from a checkpoint's model block and load its weights.
+
+    A block that describes a weight larger than the checkpoint's largest
+    tensor raises FormatError before anything is built, so a corrupt size
+    allocates nothing.
+    """
+    header, tensors = read_checkpoint(path)
+    cfg = ModelConfig(**{f.name: getattr(header, f.name) for f in fields(ModelConfig)})
+    d, h, w = cfg.feature_shape
+    in_chs = (cfg.input_channels, *(o for o, _, _ in cfg.conv_blocks))
+    weights = [o * i * k * k for (o, k, _), i in zip(cfg.conv_blocks, in_chs)] + [d * h * w * cfg.num_classes]
+    if header.kind == TwoStreamModel.kind:
+        weights += [d * d * cfg.proj_width, cfg.proj_width * cfg.num_classes]
+    largest = max((value.size for value in tensors.values()), default=0)
+    if max(weights) > largest:
+        raise FormatError(f"checkpoint model block describes a {max(weights)}-value weight; its largest tensor has {largest}")
+    model = MODELS[header.kind](cfg, seed=0)
     for name, value, _ in model.params():
         if name not in tensors:
             raise FormatError(f"checkpoint lacks parameter {name}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 
 FLOAT = np.float64
 
@@ -168,8 +168,6 @@ def relu_backward(dout, mask):
 
 def dropout_forward(x, rate, training, rng_seed):
     x = _as_f64(x)
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x.copy(), None
     keep = np.random.default_rng(rng_seed).random(x.shape) >= rate

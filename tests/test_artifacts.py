@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from msml import dataset as ds
 from msml.cli import load_folds
 from msml.errors import DataError, FormatError
-from msml.model import BackboneConfig, ModelConfig, TwoStreamModel, model_from_checkpoint, save_checkpoint
+from msml.model import ModelConfig, TwoStreamModel, model_from_checkpoint, save_checkpoint
 
 ARTIFACTS = ("model.ckpt", "images.bin", "labels.csv", "splits.json")
 
@@ -26,8 +26,7 @@ def pristine(tmp_path_factory):
     ))
     ds.save(data, root)
     ds.save_splits(ds.split(data, 3), root / "splits.json")
-    cfg = ModelConfig(num_classes=2, input_size=(8, 8),
-                      backbone=BackboneConfig(1, ((2, 3, True), (2, 3, True))), proj_width=2)
+    cfg = ModelConfig(num_classes=2, input_size=(8, 8), conv_blocks=((2, 3, True), (2, 3, True)), proj_width=2)
     save_checkpoint(TwoStreamModel(cfg, seed=1), root / "model.ckpt")
     return root
 

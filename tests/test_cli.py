@@ -11,7 +11,7 @@ from msml import dataset as ds
 from msml.cli import ExperimentConfig, main
 from msml.errors import ConfigError
 from msml.metrics import MetricsReport, ScoreMatrix, build_report
-from msml.model import model_from_checkpoint, read_checkpoint, save_checkpoint
+from msml.model import TwoStreamModel, model_from_checkpoint, read_checkpoint, save_checkpoint
 from msml.train import score_fold
 import msml.cli as cli_mod
 
@@ -149,6 +149,15 @@ class TestTrain:
         ))
         assert main(["train", "--config", str(config)]) == 2
 
+    def test_invalid_model_value_exits_2_before_the_dataset_is_read(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text(CONFIG_TEMPLATE.format(
+            data_dir=tmp_path / "absent", model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "o"
+        ) + "dropout_rate = 1.5\n")
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "dropout_rate" in err and "absent" not in err
+
     def test_unknown_strategy_exits_2(self, data_dir, tmp_path, capsys):
         config = tmp_path / "c.txt"
         config.write_text(CONFIG_TEMPLATE.format(
@@ -168,8 +177,8 @@ class TestTrain:
             data_dir=data, model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "run"
         ))
         assert main(["train", "--config", str(config)]) == 0
-        _, tensors = read_checkpoint(tmp_path / "run" / "model.ckpt")
-        assert tensors["meta.input_channels"].tolist() == [3.0]
+        header, tensors = read_checkpoint(tmp_path / "run" / "model.ckpt")
+        assert header.input_channels == 3 and tensors["stream_a.block0.conv.w"].shape[1] == 3
         assert main(["eval", "--checkpoint", str(tmp_path / "run" / "model.ckpt"), "--data", str(data),
                      "--out", str(tmp_path / "report.json")]) == 0
 
@@ -194,13 +203,13 @@ class TestTrain:
         assert not (tmp_path / "o").exists()
 
     def test_nan_gradient_exits_3_without_a_checkpoint(self, data_dir, tmp_path, capsys, monkeypatch):
-        real_backward = cli_mod.TwoStreamModel.backward
+        real_backward = TwoStreamModel.backward
 
         def poisoned(model, *args, **kwargs):
             real_backward(model, *args, **kwargs)
             model.cls.dw[...] = np.nan
 
-        monkeypatch.setattr(cli_mod.TwoStreamModel, "backward", poisoned)
+        monkeypatch.setattr(TwoStreamModel, "backward", poisoned)
         config = tmp_path / "c.txt"
         config.write_text(CONFIG_TEMPLATE.format(
             data_dir=data_dir, model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "o"
@@ -328,17 +337,35 @@ class TestEval:
         assert not (tmp_path / "r.json").exists()
 
     def test_corrupt_checkpoint_meta_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
-        blob = bytearray((trained_dir / "model.ckpt").read_bytes())
-        name = b"meta.conv_blocks"
-        rank_at = blob.index(name) + len(name)
-        first_value = rank_at + 4 + 4 * 2  # rank, then two dims
-        struct.pack_into("<d", blob, first_value, -16.0)
-        (tmp_path / "model.ckpt").write_bytes(bytes(blob))
+        blob = (trained_dir / "model.ckpt").read_bytes()
+        # same length, so the block length field still holds
+        (tmp_path / "model.ckpt").write_bytes(blob.replace(b"conv_blocks = 8:3:1", b"conv_blocks = 8:3:2", 1))
         code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
                      "--data", str(data_dir), "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "meta.conv_blocks" in capsys.readouterr().err
+        assert "checkpoint model block: line 4: cannot parse 'conv_blocks'" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_version_one_checkpoint_exits_2(self, data_dir, tmp_path, capsys):
+        (tmp_path / "model.ckpt").write_bytes(b"MSML0001" + struct.pack("<2I", 4, 0))
+        code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(data_dir), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "checkpoint magic b'MSML0001' is not b'MSML0002' (at byte offset 0)" in capsys.readouterr().err
+
+    def test_head_the_checkpoint_lacks_exits_2_before_the_data_is_read(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text(CONFIG_TEMPLATE.format(
+            data_dir=data_dir, model="baseline", strategy="global", epochs=1, out_dir=tmp_path / "run"
+        ))
+        assert main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        for head in ("fce", "msml", "fused"):
+            code = main(["eval", "--checkpoint", str(tmp_path / "run" / "model.ckpt"),
+                         "--data", str(tmp_path / "absent"), "--head", head, "--out", str(tmp_path / "r.json")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"the {head} head needs heads" in err and "absent" not in err
 
 
 class TestGradcheckCommand:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from msml import dataset as ds
 from msml.cli import ExperimentConfig
 from msml.errors import ConfigError
+from msml.model import ModelConfig
 from msml.train import STRATEGIES
 
 
@@ -46,10 +47,18 @@ def generator_specs(draw):
     ).validate()
 
 
+odd_kernels = st.integers(0, 3).map(lambda r: 2 * r + 1)
+conv_blocks = st.lists(st.tuples(st.integers(1, 64), odd_kernels, st.booleans()), min_size=1, max_size=4).map(tuple)
+
+
+def smallest_input(blocks):
+    """The least input side that leaves 2x2 feature maps after ``blocks``."""
+    return 2 ** (1 + sum(pool for _, _, pool in blocks))
+
+
 @st.composite
 def experiment_configs(draw):
-    odd_kernels = st.integers(0, 3).map(lambda r: 2 * r + 1)
-    blocks = st.tuples(st.integers(1, 64), odd_kernels, st.booleans())
+    blocks = draw(conv_blocks)
     return ExperimentConfig(
         dataset=draw(words),
         model=draw(st.sampled_from(("two_stream", "baseline"))),
@@ -60,8 +69,8 @@ def experiment_configs(draw):
         alpha=draw(floats(0.0, 10.0)),
         beta=draw(floats(0.0, 10.0)),
         seed=draw(st.integers(0, 2**31)),
-        crop_size=draw(st.integers(1, 256)),
-        conv_blocks=tuple(draw(st.lists(blocks, min_size=1, max_size=4))),
+        crop_size=draw(st.integers(smallest_input(blocks), 256)),
+        conv_blocks=blocks,
         proj_width=draw(st.integers(1, 1024)),
         dropout_rate=draw(floats(0.0, 0.99)),
         out_dir=draw(words),
@@ -76,6 +85,25 @@ def test_generator_spec_round_trip(spec):
 @given(experiment_configs())
 def test_experiment_config_round_trip(cfg):
     assert ds.parse_fields(ExperimentConfig, ds.format_fields(cfg)) == cfg
+
+
+@st.composite
+def model_configs(draw):
+    blocks = draw(conv_blocks)
+    side = st.integers(smallest_input(blocks), 256)
+    return ModelConfig(
+        num_classes=draw(st.integers(1, 64)),
+        input_size=(draw(side), draw(side)),
+        input_channels=draw(st.integers(1, 8)),
+        conv_blocks=blocks,
+        proj_width=draw(st.integers(1, 1024)),
+        dropout_rate=draw(floats(0.0, 0.99)),
+    ).validate()
+
+
+@given(model_configs())
+def test_model_config_round_trip(cfg):
+    assert ds.parse_fields(ModelConfig, ds.format_fields(cfg)) == cfg
 
 
 def test_bools_in_tuples_are_written_as_digits():
@@ -102,10 +130,17 @@ REQUIRED = "dataset = d\nout_dir = o\n"
         (ExperimentConfig, REQUIRED + "learning_rate = -1\n", None),
         (ExperimentConfig, REQUIRED + "learning_rate = 0\n", None),
         (ExperimentConfig, REQUIRED + "learning_rate = nan\n", None),
+        (ExperimentConfig, REQUIRED + "conv_blocks = 16:3:2\n", 3),
+        (ExperimentConfig, REQUIRED + "conv_blocks = 16:3:1, 32:3:-1\n", 3),
+        (ExperimentConfig, REQUIRED + "dropout_rate = 1.5\n", None),
+        (ExperimentConfig, REQUIRED + "dropout_rate = nan\n", None),
+        (ExperimentConfig, REQUIRED + "crop_size = 0\n", None),
+        (ExperimentConfig, REQUIRED + "crop_size = 4\n", None),
     ],
     ids=["empty-conv-blocks", "three-value-image-size", "two-part-block", "float-epochs", "unknown-key",
          "zero-channel-block", "zero-kernel", "even-kernel", "negative-kernel", "zero-proj-width",
-         "negative-rate", "zero-rate", "nan-rate"],
+         "negative-rate", "zero-rate", "nan-rate", "pool-flag-2", "pool-flag--1", "dropout-1.5", "dropout-nan",
+         "crop-0", "crop-4"],
 )
 def test_rejected(cls, text, line):
     with pytest.raises(ConfigError, match=None if line is None else f"line {line}:"):

@@ -15,7 +15,6 @@ from msml.gradcheck import TOLERANCES, run_scope
 from msml.model import (
     Adam,
     Backbone,
-    BackboneConfig,
     BaselineModel,
     Conv2d,
     Model,
@@ -31,17 +30,21 @@ from msml.model import (
 TINY = ModelConfig(
     num_classes=4,
     input_size=(8, 8),
-    backbone=BackboneConfig(input_channels=1, conv_blocks=((4, 3, True), (6, 3, True))),
+    conv_blocks=((4, 3, True), (6, 3, True)),
     proj_width=5,
 )
 
 
-def save_with_meta(path, monkeypatch, name, value):
-    """Save a TINY two-stream checkpoint whose meta tensor ``name`` holds ``value``."""
-    real = model_mod._meta_tensors
-    monkeypatch.setattr(model_mod, "_meta_tensors", lambda m: [
-        (n, np.array(value) if n == name else v) for n, v in real(m)])
+def save_with_block_line(path, line):
+    """Save a TINY two-stream checkpoint whose model block holds ``line`` in place
+    of the line with the same key."""
     save_checkpoint(TwoStreamModel(TINY, seed=9), path)
+    blob = path.read_bytes()
+    (size,) = struct.unpack_from("<I", blob, 8)
+    key = line.partition(" = ")[0]
+    lines = [line if old.partition(" = ")[0] == key else old for old in blob[12 : 12 + size].decode().splitlines()]
+    block = ("\n".join(lines) + "\n").encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + size :])
 
 
 def params_dict(model):
@@ -72,10 +75,15 @@ class TestBuild:
         assert not np.array_equal(m.head_ce.w, m.head_msml.w)
 
     def test_too_small_input_rejected(self):
-        cfg = ModelConfig(num_classes=2, input_size=(4, 4),
-                          backbone=BackboneConfig(1, ((4, 3, True), (4, 3, True))))
+        cfg = ModelConfig(num_classes=2, input_size=(4, 4), conv_blocks=((4, 3, True), (4, 3, True)))
         with pytest.raises(ConfigError):
             TwoStreamModel(cfg, seed=0)
+
+    def test_invalid_dropout_rate_rejected(self):
+        for rate in (1.0, 1.5, -0.1, np.nan):
+            for build in (TwoStreamModel, BaselineModel):
+                with pytest.raises(ConfigError, match="dropout_rate"):
+                    build(dataclasses.replace(TINY, dropout_rate=rate), seed=0)
 
 
 class TestForward:
@@ -209,6 +217,12 @@ class TestStreamThreads:
         monkeypatch.setenv("MSML_THREADS", "1")
         assert {here for _, _, here in self.threads_of_stream_passes(monkeypatch, training=True)} == {True}
 
+    @pytest.mark.parametrize("value", ["0", "-4", "two"])
+    def test_thread_count_below_one_or_not_an_integer_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("MSML_THREADS", value)
+        with pytest.raises(ConfigError, match=f"MSML_THREADS must be an integer >= 1, got '{value}'"):
+            model_mod.worker_pool()
+
 
 class TestEvalPass:
     """An eval forward keeps no tape, and its logits are the bits of a taped
@@ -216,7 +230,7 @@ class TestEvalPass:
 
     # an unpooled block, then pools that drop an odd last row and column
     ODD = ModelConfig(num_classes=3, input_size=(11, 9), proj_width=4,
-                      backbone=BackboneConfig(1, ((4, 3, False), (5, 3, True), (6, 5, True))))
+                      conv_blocks=((4, 3, False), (5, 3, True), (6, 5, True)))
 
     @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
     def test_eval_forward_keeps_no_tape(self, build):
@@ -406,7 +420,7 @@ class TestCheckpoints:
         path = tmp_path / "b.ckpt"
         save_checkpoint(m, path)
         back = model_from_checkpoint(path)
-        assert back.kind == "baseline"
+        assert (back.kind, back.cfg) == ("baseline", TINY)
         out_a = m.forward(np.ones((2, 1, 8, 8)))
         out_b = back.forward(np.ones((2, 1, 8, 8)))
         np.testing.assert_array_equal(out_a.logits_ce, out_b.logits_ce)
@@ -422,9 +436,10 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)
         blob = path.read_bytes()
-        assert blob[:8] == b"MSML0001"
-        num_classes, tensors = read_checkpoint(path)
-        assert num_classes == 4
+        assert blob[:8] == b"MSML0002"
+        assert b"num_classes = 4\n" in blob and b"kind = two_stream\n" in blob
+        header, tensors = read_checkpoint(path)
+        assert (header.num_classes, header.kind) == (4, "two_stream")
         assert "stream_a.block0.conv.w" in tensors
 
     def test_corrupt_magic(self, tmp_path):
@@ -476,26 +491,21 @@ class TestCheckpoints:
             read_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("meta.conv_blocks", [[-16.0, 3.0, 1.0], [6.0, 3.0, 1.0]]),
-            ("meta.conv_blocks", [[4.0, 3.0, 2.0], [6.0, 3.0, 1.0]]),
-            ("meta.input_size", [8.0]),
-            ("meta.input_size", [1.0, 1.0]),
-            ("meta.input_channels", [0.5]),
-            ("meta.kind", [3.0]),
-            ("meta.dropout_rate", [1.0]),
-        ],
+        "line",
+        ["conv_blocks = -16:3:1, 6:3:1", "conv_blocks = 4:3:2, 6:3:1", "input_size = 8", "input_size = 1, 1",
+         "input_channels = 0.5", "kind = 3", "dropout_rate = 1.0"],
         ids=["negative-channels", "pool-flag-2", "one-entry-size", "size-1x1", "fractional-channels",
              "kind-3", "dropout-1"],
     )
-    def test_bad_meta_tensor_named_before_building(self, tmp_path, monkeypatch, name, value):
-        save_with_meta(tmp_path / "m.ckpt", monkeypatch, name, value)
-        with pytest.raises(FormatError, match=name):
+    def test_bad_meta_tensor_named_before_building(self, tmp_path, monkeypatch, line):
+        save_with_block_line(tmp_path / "m.ckpt", line)
+        monkeypatch.setattr(Model, "__init__", lambda *args: pytest.fail("a model was built"))
+        with pytest.raises(FormatError, match=f"checkpoint model block: .*{line.partition(' = ')[0]}"):
             model_from_checkpoint(tmp_path / "m.ckpt")
 
     def test_meta_describing_a_weight_larger_than_the_file_is_rejected(self, tmp_path, monkeypatch):
         # 2**50 projection columns would need far more memory than exists
-        save_with_meta(tmp_path / "m.ckpt", monkeypatch, "meta.proj_width", [2.0**50])
+        save_with_block_line(tmp_path / "m.ckpt", f"proj_width = {2**50}")
+        monkeypatch.setattr(Model, "__init__", lambda *args: pytest.fail("a model was built"))
         with pytest.raises(FormatError, match="weight; its largest tensor has"):
             model_from_checkpoint(tmp_path / "m.ckpt")

@@ -12,13 +12,13 @@ import msml
 from msml import dataset as ds
 from msml.errors import ConfigError, DataError, NumericalError
 from msml.losses import LossWeights, total_loss
-from msml.model import BackboneConfig, BaselineModel, ModelConfig, TwoStreamModel, lr_schedule
+from msml.model import BaselineModel, ModelConfig, TwoStreamModel, lr_schedule
 from msml.train import FoldData, _losses_and_grads, score_fold, train
 
 CFG = ModelConfig(
     num_classes=4,
     input_size=(16, 16),
-    backbone=BackboneConfig(input_channels=1, conv_blocks=((8, 3, True), (8, 3, True))),
+    conv_blocks=((8, 3, True), (8, 3, True)),
     proj_width=16,
 )
 
