@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError, MsmlError, NumericalError
 from .gradcheck import SCOPES, TOLERANCES, run_scope
 from .losses import LossWeights
 from .metrics import ScoreMatrix, build_report
-from .model import MODELS, ModelConfig, model_from_checkpoint, save_checkpoint
+from .model import MODELS, ModelConfig, model_from_checkpoint, save_checkpoint, worker_pool
 from .train import HISTORY_COLUMNS, STRATEGIES, FoldData, score_fold, train
 
 
@@ -41,13 +41,13 @@ class ExperimentConfig:
     epochs: int = 6
     batch_size: int = 16
     learning_rate: float = 1e-4
-    alpha: float = 0.2
-    beta: float = 0.6
+    alpha: float = LossWeights.alpha
+    beta: float = LossWeights.beta
     seed: int = 1
-    crop_size: int = 28
-    conv_blocks: tuple = ((16, 3, True), (32, 3, True), (32, 3, True))
-    proj_width: int = 128
-    dropout_rate: float = 0.5
+    crop_size: int = ModelConfig.input_size[0]
+    conv_blocks: tuple = ModelConfig.conv_blocks
+    proj_width: int = ModelConfig.proj_width
+    dropout_rate: float = ModelConfig.dropout_rate
     out_dir: str = ""
 
     def validate(self):
@@ -57,12 +57,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose one of {STRATEGIES}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        self.model_config().validate()
+        try:
+            self.model_config().validate()
+        except ConfigError as exc:  # the model's input_size is this config's crop_size
+            size = self.crop_size
+            raise ConfigError(str(exc).replace(f"input_size {(size, size)}", f"crop_size {size}")) from None
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for key in ("alpha", "beta"):
-            if not 0 <= getattr(self, key) < np.inf:
-                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        self.loss_weights()  # rejects a negative or non-finite alpha or beta
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.dataset or not self.out_dir:
@@ -73,6 +75,10 @@ class ExperimentConfig:
         """The ModelConfig this experiment builds for a dataset with these counts."""
         return ModelConfig(num_classes, (self.crop_size, self.crop_size), input_channels,
                            self.conv_blocks, self.proj_width, self.dropout_rate)
+
+    def loss_weights(self):
+        """The LossWeights this experiment trains with."""
+        return LossWeights(self.alpha, self.beta)
 
 
 def load_folds(data_dir, names=None):
@@ -113,17 +119,10 @@ def cmd_train(args) -> int:
     cfg = ds.parse_fields(ExperimentConfig, Path(args.config).read_text())
     folds, class_names = load_folds(cfg.dataset, ("train", "val"))
     model_cfg = cfg.model_config(len(class_names), folds["train"].images.shape[1])
-    model = MODELS[cfg.model](model_cfg, cfg.seed, LossWeights(cfg.alpha, cfg.beta))
-    history = train(
-        model,
-        folds["train"],
-        folds["val"],
-        strategy=cfg.strategy,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        initial_lr=cfg.learning_rate,
-    )
+    model = MODELS[cfg.model](model_cfg, cfg.seed)
+    history = train(model, folds["train"], folds["val"], strategy=cfg.strategy, epochs=cfg.epochs,
+                    batch_size=cfg.batch_size, seed=cfg.seed, initial_lr=cfg.learning_rate,
+                    weights=cfg.loss_weights())
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out_dir / "model.ckpt")
@@ -212,6 +211,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        worker_pool()  # an invalid MSML_THREADS exits 2 before any work starts
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -212,21 +212,23 @@ def normalize(images_by_fold: dict, train_images):
 
 
 def crop_batch(images, out_size, training, rng=None):
-    """Crop a batch with per-sample random offsets (training) or center (eval)."""
+    """Crop a batch to ``out_size``, an (height, width) pair or one int for a
+    square, with per-sample random offsets (training) or centered (eval)."""
     images = np.asarray(images)
     n = images.shape[0]
     h, w = images.shape[-2:]
-    if out_size > h or out_size > w:
-        raise DimensionError(f"crop size {out_size} exceeds image {h}x{w}")
+    oh, ow = (out_size, out_size) if np.ndim(out_size) == 0 else out_size
+    if oh > h or ow > w:
+        raise DimensionError(f"crop size {oh}x{ow} exceeds image {h}x{w}")
     if not training:
-        top = (h - out_size) // 2
-        left = (w - out_size) // 2
-        return images[..., top : top + out_size, left : left + out_size]
-    tops = rng.integers(0, h - out_size + 1, size=n)
-    lefts = rng.integers(0, w - out_size + 1, size=n)
-    out = np.empty(images.shape[:-2] + (out_size, out_size), dtype=images.dtype)
+        top = (h - oh) // 2
+        left = (w - ow) // 2
+        return images[..., top : top + oh, left : left + ow]
+    tops = rng.integers(0, h - oh + 1, size=n)
+    lefts = rng.integers(0, w - ow + 1, size=n)
+    out = np.empty(images.shape[:-2] + (oh, ow), dtype=images.dtype)
     for i in range(n):
-        out[i] = images[i, :, tops[i] : tops[i] + out_size, lefts[i] : lefts[i] + out_size]
+        out[i] = images[i, :, tops[i] : tops[i] + oh, lefts[i] : lefts[i] + ow]
     return out
 
 

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import bilinear as bl
 from . import ops
-from .losses import msml_batch, sigmoid_bce_batch, total_loss
+from .losses import LossWeights, msml_batch, sigmoid_bce_batch, total_loss
 from .model import ModelConfig, TwoStreamModel
-from .train import _losses_and_grads
+from .train import _losses_and_grads, _phases
 
 STEP = 1e-5
 
@@ -119,19 +119,20 @@ _MODEL_CFG = ModelConfig(
 
 
 def _model(rng, i):
-    """Composite-loss gradient of a training pass at one random parameter coordinate;
-    the first half of the draws run without dropout, the rest with dropout mask seed ``i``."""
+    """Composite-loss gradient of a training pass at one random parameter coordinate:
+    the head gradients the ``global`` phase's weights give, against ``total_loss``.
+    The first half of the draws run without dropout, the rest with dropout mask seed ``i``."""
     cfg = _MODEL_CFG if i >= MODEL_DRAWS // 2 else dataclasses.replace(_MODEL_CFG, dropout_rate=0.0)
     model = TwoStreamModel(cfg, seed=4)
     batch = rng.normal(size=(2, 1, 8, 8))
     labels = rng.integers(0, 2, size=(2, 4))
-    w = model.loss_weights
+    w = LossWeights()
     out = model.forward(batch, training=True, seed=i)
-    model.backward(out.tape, *_losses_and_grads(out, labels, ("ce", "msml", "fce"), w.alpha, w.beta)[1])
+    model.backward(out.tape, _losses_and_grads(out, labels, _phases("global", 1, model, w)[0][1])[1])
 
     def objective():
-        (ce, ms, fce), _ = _losses_and_grads(model.forward(batch, True, i), labels, (), 0.0, 0.0)
-        return total_loss(ce, ms, fce, w)
+        losses, _ = _losses_and_grads(model.forward(batch, True, i), labels, {})
+        return total_loss(losses["ce"], losses["msml"], losses["fce"], w)
 
     params = model.params()
     _, value, grad = params[int(rng.integers(len(params)))]

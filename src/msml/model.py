@@ -30,7 +30,6 @@ from . import bilinear as bl
 from . import ops
 from .dataset import decode_utf8, format_fields, parse_fields, write_atomic
 from .errors import ConfigError, DimensionError, FormatError
-from .losses import LossWeights
 
 FLOAT = np.float64
 
@@ -237,10 +236,15 @@ class Backbone:
 
 @dataclass
 class ForwardPass:
-    logits_ce: np.ndarray | None
-    logits_msml: np.ndarray | None
-    logits_fce: np.ndarray | None
+    logits: dict  # head -> (N, C) logits, in the model's ``heads`` order
     tape: tuple | None  # all that backward needs (None in eval mode); models keep no per-call state
+
+    def __getattr__(self, name):
+        """``logits_<head>``: that head's logits, or None for a head the model
+        lacks. perfbench/run.py reads logits in this form."""
+        if name.startswith("logits_"):
+            return self.logits.get(name.removeprefix("logits_"))
+        raise AttributeError(name)
 
 
 def _check_batch(batch, cfg: ModelConfig):
@@ -253,11 +257,12 @@ def _check_batch(batch, cfg: ModelConfig):
 
 class Model:
     """What both models share. Subclasses set ``kind``, ``heads`` and ``primary_head``
-    and define ``param_groups``, ``forward`` and ``backward(tape, d_ce, d_msml, d_fce)``."""
+    and define ``param_groups``, ``forward(batch, training, seed)``, which returns a
+    ForwardPass with one logits entry per head, and ``backward(tape, grads)``, which
+    takes a dict head -> logit gradient. The loss weights belong to training."""
 
-    def __init__(self, cfg: ModelConfig, loss_weights: LossWeights = LossWeights()):
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg.validate()
-        self.loss_weights = loss_weights
 
     def params(self):
         """Every (name, value, grad) triple, in checkpoint order."""
@@ -275,8 +280,8 @@ class TwoStreamModel(Model):
     heads = ("ce", "msml", "fce")
     primary_head = "fce"
 
-    def __init__(self, cfg: ModelConfig, seed: int, loss_weights: LossWeights = LossWeights()):
-        super().__init__(cfg, loss_weights)
+    def __init__(self, cfg: ModelConfig, seed: int):
+        super().__init__(cfg)
         d, h, w = cfg.feature_shape
         flat = d * h * w
         # Streams share one seed stream so their initial weights are
@@ -299,34 +304,29 @@ class TwoStreamModel(Model):
         )
 
         drop_a, mask_a = ops.dropout_forward(fa.reshape(n, -1), rate, training, [seed, 0])
-        logits_ce, ce_cache = self.head_ce.forward(drop_a)
-
         drop_b, mask_b = ops.dropout_forward(fb.reshape(n, -1), rate, training, [seed, 1])
-        logits_msml, msml_cache = self.head_msml.forward(drop_b)
-
-        logits_fce, head_cache = bl.bilinear_head_batch(
-            fa, fb, self.proj.w, self.proj.b, self.cls.w, self.cls.b
-        )
+        (ce, ce_cache), (ms, msml_cache) = self.head_ce.forward(drop_a), self.head_msml.forward(drop_b)
+        fce, head_cache = bl.bilinear_head_batch(fa, fb, self.proj.w, self.proj.b, self.cls.w, self.cls.b)
         tape = (fa.shape, tape_a, tape_b, mask_a, mask_b, ce_cache, msml_cache, head_cache) if training else None
-        return ForwardPass(logits_ce, logits_msml, logits_fce, tape)
+        return ForwardPass({"ce": ce, "msml": ms, "fce": fce}, tape)
 
-    def backward(self, tape, d_ce=None, d_msml=None, d_fce=None):
-        """Accumulate parameter gradients for the supplied head gradients.
+    def backward(self, tape, grads):
+        """Accumulate parameter gradients from ``grads``, a dict head -> logit gradient.
 
-        Omitted heads contribute nothing, which is how the staged training
+        A head left out contributes nothing, which is how the staged training
         strategies exclude loss terms.
         """
         shape, tape_a, tape_b, mask_a, mask_b, ce_cache, msml_cache, head_cache = tape
         d_fa = np.zeros(shape, dtype=FLOAT)
         d_fb = np.zeros(shape, dtype=FLOAT)
-        if d_ce is not None:
-            d_drop = self.head_ce.backward(d_ce, ce_cache)
+        if "ce" in grads:
+            d_drop = self.head_ce.backward(grads["ce"], ce_cache)
             d_fa += ops.dropout_backward(d_drop, mask_a).reshape(shape)
-        if d_msml is not None:
-            d_drop = self.head_msml.backward(d_msml, msml_cache)
+        if "msml" in grads:
+            d_drop = self.head_msml.backward(grads["msml"], msml_cache)
             d_fb += ops.dropout_backward(d_drop, mask_b).reshape(shape)
-        if d_fce is not None:
-            g_fa, g_fb, dproj_w, dproj_b, dcls_w, dcls_b = bl.bilinear_head_backward(d_fce, head_cache)
+        if "fce" in grads:
+            g_fa, g_fb, dproj_w, dproj_b, dcls_w, dcls_b = bl.bilinear_head_backward(grads["fce"], head_cache)
             self.proj.dw += dproj_w
             self.proj.db += dproj_b
             self.cls.dw += dcls_w
@@ -352,8 +352,8 @@ class BaselineModel(Model):
     heads = ("ce",)
     primary_head = "ce"
 
-    def __init__(self, cfg: ModelConfig, seed: int, loss_weights: LossWeights = LossWeights()):
-        super().__init__(cfg, loss_weights)
+    def __init__(self, cfg: ModelConfig, seed: int):
+        super().__init__(cfg)
         d, h, w = cfg.feature_shape
         self.backbone = Backbone(cfg, np.random.default_rng([seed, 0]))
         self.head_ce = Linear(d * h * w, cfg.num_classes, np.random.default_rng([seed, 1]))
@@ -363,15 +363,15 @@ class BaselineModel(Model):
         n = batch.shape[0]
         fa, backbone_tape = self.backbone.forward(batch, training)
         drop, mask = ops.dropout_forward(fa.reshape(n, -1), self.cfg.dropout_rate, training, [seed, 0])
-        logits_ce, head_cache = self.head_ce.forward(drop)
+        ce, head_cache = self.head_ce.forward(drop)
         tape = (fa.shape, backbone_tape, mask, head_cache) if training else None
-        return ForwardPass(logits_ce, None, None, tape)
+        return ForwardPass({"ce": ce}, tape)
 
-    def backward(self, tape, d_ce=None, d_msml=None, d_fce=None):
-        if d_ce is None:
+    def backward(self, tape, grads):
+        if "ce" not in grads:
             return
         shape, backbone_tape, mask, head_cache = tape
-        d_drop = self.head_ce.backward(d_ce, head_cache)
+        d_drop = self.head_ce.backward(grads["ce"], head_cache)
         self.backbone.backward(ops.dropout_backward(d_drop, mask).reshape(shape), backbone_tape)
 
     def param_groups(self):
@@ -389,12 +389,7 @@ MODELS = {model_cls.kind: model_cls for model_cls in (TwoStreamModel, BaselineMo
 
 def predict(model, batch):
     """Eval-mode per-head sigmoid probabilities, as a dict head -> (N, C)."""
-    out = model.forward(batch, training=False)
-    probs = {}
-    for head in model.heads:
-        logits = getattr(out, f"logits_{head}")
-        probs[head] = ops.sigmoid(logits)
-    return probs
+    return {head: ops.sigmoid(logits) for head, logits in model.forward(batch, training=False).logits.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,13 @@ Strategies:
 * ``local_fixed``: like ``local``, but phase 2 updates only the bilinear
   head; both backbones and the stream heads stay frozen.
 
-Freezing is implemented by handing the optimizer only the active parameter
-subset, so frozen tensors are bit-identical across a phase. Every run is
-deterministic from (model seed, train seed, data, config).
+The objective is alpha * (msml + ce) + beta * fce, with alpha and beta from
+the LossWeights ``train`` receives; the baseline trains its one head at
+weight 1. Each phase gives its heads their weights: a head left out, or
+weighted 0, adds no gradient. Freezing is implemented by handing the
+optimizer only the active parameter subset, so frozen tensors are
+bit-identical across a phase. Every run is deterministic from (model seed,
+train seed, data, config).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .dataset import crop_batch
 from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
-from .losses import msml_batch, sigmoid_bce_batch
+from .losses import LossWeights, msml_batch, sigmoid_bce_batch
 from .metrics import ScoreMatrix, macro_auc
 from .model import Adam, lr_schedule, predict, worker_pool
 
@@ -60,49 +64,41 @@ class FoldData:
         return self.images.shape[0]
 
 
-def _phases(strategy, epochs, model):
+def _phases(strategy, epochs, model, weights):
+    """(epochs, head -> loss weight, parameters to update) for each phase of ``strategy``."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; choose one of {STRATEGIES}")
-    groups = model.param_groups()
-    all_params = model.params()
     if model.kind == "baseline":
-        return [(epochs, ("ce",), all_params, 1.0, 0.0)]
-    w = model.loss_weights
+        return [(epochs, {"ce": 1.0}, model.params())]
+    streams = {"ce": weights.alpha, "msml": weights.alpha}
+    full = {**streams, "fce": weights.beta}
     if strategy == "global":
-        return [(epochs, ("ce", "msml", "fce"), all_params, w.alpha, w.beta)]
+        return [(epochs, full, model.params())]
+    groups = model.param_groups()
     phase1 = max(1, (2 * epochs) // 3)
-    phase2 = epochs - phase1
-    plan = [(phase1, ("ce", "msml"), groups["backbones"] + groups["stream_heads"], w.alpha, 0.0)]
-    if phase2 > 0:
-        if strategy == "local":
-            plan.append((phase2, ("ce", "msml", "fce"), all_params, w.alpha, w.beta))
-        else:  # local_fixed
-            plan.append((phase2, ("ce", "msml", "fce"), groups["bilinear_head"], w.alpha, w.beta))
+    plan = [(phase1, streams, groups["backbones"] + groups["stream_heads"])]
+    if epochs > phase1:
+        plan.append((epochs - phase1, full, model.params() if strategy == "local" else groups["bilinear_head"]))
     return plan
 
 
-def _losses_and_grads(out, labels, active, alpha, beta):
-    """Component losses plus the weighted head gradients for backward."""
-    ce_val = ms_val = fce_val = 0.0
-    d_ce = d_ms = d_fce = None
-    if out.logits_ce is not None:
-        ce_val, g = sigmoid_bce_batch(out.logits_ce, labels)
-        if "ce" in active:
-            d_ce = alpha * g
-    if out.logits_msml is not None:
-        ms_val, g = msml_batch(out.logits_msml, labels)
-        if "msml" in active:
-            d_ms = alpha * g
-    if out.logits_fce is not None:
-        fce_val, g = sigmoid_bce_batch(out.logits_fce, labels)
-        if "fce" in active and beta > 0.0:
-            d_fce = beta * g
-    return (ce_val, ms_val, fce_val), (d_ce, d_ms, d_fce)
+def _losses_and_grads(out, labels, weights):
+    """Each head's loss, and for backward the logit gradients of the heads
+    ``weights`` gives a weight above zero, scaled by that weight. The one place
+    a head meets its loss: MSML for ``msml``, sigmoid BCE for ``ce`` and ``fce``."""
+    losses, grads = {}, {}
+    for head, logits in out.logits.items():
+        # looked up per call, not held in a table, so a profiler that rebinds these names sees every call
+        losses[head], g = (msml_batch if head == "msml" else sigmoid_bce_batch)(logits, labels)
+        if weights.get(head, 0.0) > 0.0:
+            grads[head] = weights[head] * g
+    return losses, grads
 
 
-def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
-          epochs=6, batch_size=16, seed=0, initial_lr=1e-4, on_phase_end=None):
-    """Train in place; returns the per-epoch history as a list of EpochStats.
+def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global", epochs=6,
+          batch_size=16, seed=0, initial_lr=1e-4, weights=LossWeights(), on_phase_end=None):
+    """Train in place with loss weights ``weights``; returns the per-epoch
+    history as a list of EpochStats.
 
     ``on_phase_end(phase_index, model)`` fires after each strategy phase,
     which is how tests observe the parameter state at phase boundaries.
@@ -113,9 +109,7 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
     n = len(train_fold)
     history = []
     epoch = 0
-    for phase_index, (phase_epochs, active, params, alpha, beta) in enumerate(
-        _phases(strategy, epochs, model)
-    ):
+    for phase_index, (phase_epochs, head_weights, params) in enumerate(_phases(strategy, epochs, model, weights)):
         opt = Adam(params)
         for _ in range(phase_epochs):
             lr = lr_schedule(initial_lr, epoch)
@@ -124,19 +118,13 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
             steps = 0
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                xb = crop_batch(train_fold.images[idx], model.cfg.input_size[0], training=True, rng=rng)
+                xb = crop_batch(train_fold.images[idx], model.cfg.input_size, training=True, rng=rng)
                 out = model.forward(xb, training=True, seed=int(rng.integers(2**31)))
-                (ce_val, ms_val, fce_val), grads = _losses_and_grads(
-                    out, train_fold.labels[idx], active, alpha, beta
-                )
-                if not all(np.isfinite(v) for v in (ce_val, ms_val, fce_val)):
-                    raise NumericalError(
-                        f"non-finite loss ({ce_val}, {ms_val}, {fce_val}) "
-                        f"at epoch {epoch}, step {steps}",
-                        epoch=epoch, step=steps,
-                    )
+                losses, grads = _losses_and_grads(out, train_fold.labels[idx], head_weights)
+                if not all(np.isfinite(v) for v in losses.values()):
+                    raise NumericalError(f"non-finite loss {losses} at epoch {epoch}, step {steps}", epoch=epoch, step=steps)
                 model.zero_grads()
-                model.backward(out.tape, *grads)
+                model.backward(out.tape, grads)
                 opt.step(lr)
                 for name, value, _ in params:
                     if not np.isfinite(value).all():
@@ -144,7 +132,8 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
                             f"non-finite parameter {name} after the update at epoch {epoch}, step {steps}",
                             epoch=epoch, step=steps,
                         )
-                sums += (alpha * ce_val, alpha * ms_val, beta * fce_val)
+                # the weighted loss of each column's head, 0 for a head absent or unweighted
+                sums += [head_weights.get(head, 0.0) * losses.get(head, 0.0) for head in ("ce", "msml", "fce")]
                 steps += 1
             scores = score_fold(model, val_fold)
             try:
@@ -167,7 +156,7 @@ def score_fold(model, fold: FoldData):
     """
     if len(fold) == 0:
         raise DataError("cannot score an empty fold")
-    xb = crop_batch(fold.images, model.cfg.input_size[0], training=False)
+    xb = crop_batch(fold.images, model.cfg.input_size, training=False)
     batches = [xb[i : i + SCORE_BATCH] for i in range(0, xb.shape[0], SCORE_BATCH)]
 
     def run(batch):

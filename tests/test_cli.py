@@ -10,8 +10,9 @@ import pytest
 from msml import dataset as ds
 from msml.cli import ExperimentConfig, main
 from msml.errors import ConfigError
+from msml.losses import LossWeights
 from msml.metrics import MetricsReport, ScoreMatrix, build_report
-from msml.model import TwoStreamModel, model_from_checkpoint, read_checkpoint, save_checkpoint
+from msml.model import ModelConfig, TwoStreamModel, model_from_checkpoint, read_checkpoint, save_checkpoint
 from msml.train import score_fold
 import msml.cli as cli_mod
 
@@ -157,6 +158,16 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "dropout_rate" in err and "absent" not in err
+
+    def test_bad_thread_count_exits_2_before_the_dataset_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MSML_THREADS", "0")
+        config = tmp_path / "c.txt"
+        config.write_text(CONFIG_TEMPLATE.format(
+            data_dir=tmp_path / "absent", model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "o"
+        ))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "MSML_THREADS must be an integer >= 1" in err and "absent" not in err
 
     def test_unknown_strategy_exits_2(self, data_dir, tmp_path, capsys):
         config = tmp_path / "c.txt"
@@ -367,6 +378,14 @@ class TestEval:
             err = capsys.readouterr().err
             assert f"the {head} head needs heads" in err and "absent" not in err
 
+    def test_bad_thread_count_exits_2_before_the_checkpoint_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MSML_THREADS", "0")
+        code = main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"), "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "MSML_THREADS must be an integer >= 1" in err and "absent" not in err
+
 
 class TestGradcheckCommand:
     def test_losses_scope_passes(self, capsys):
@@ -390,3 +409,8 @@ class TestExperimentConfigParsing:
     def test_requires_dataset_and_out_dir(self):
         with pytest.raises(ConfigError):
             ds.parse_fields(ExperimentConfig, "epochs = 3\n")
+
+    def test_defaults_are_the_model_and_loss_defaults(self):
+        cfg = ExperimentConfig(dataset="d", out_dir="o")
+        assert cfg.model_config(8, 1) == ModelConfig()
+        assert cfg.loss_weights() == LossWeights()

@@ -147,6 +147,11 @@ def test_rejected(cls, text, line):
         ds.parse_fields(cls, text)
 
 
+def test_too_small_crop_is_named_by_its_config_key():
+    with pytest.raises(ConfigError, match=r"^crop_size 4 leaves 0x0 feature maps after conv_blocks"):
+        ds.parse_fields(ExperimentConfig, REQUIRED + "crop_size = 4\n")
+
+
 def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace():
     cfg = ds.parse_fields(ExperimentConfig, "dataset = runs/#1\nout_dir = o\t# note\n# whole line\n")
     assert (cfg.dataset, cfg.out_dir) == ("runs/#1", "o")

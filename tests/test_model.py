@@ -92,9 +92,9 @@ class TestForward:
         out = m.forward(np.zeros((2, 1, 8, 8)), training=False)
         # conv biases are zero at init, so features vanish and only the
         # classifier bias paths remain
-        np.testing.assert_allclose(out.logits_ce, np.tile(m.head_ce.b, (2, 1)), atol=1e-12)
+        np.testing.assert_allclose(out.logits["ce"], np.tile(m.head_ce.b, (2, 1)), atol=1e-12)
         np.testing.assert_allclose(
-            out.logits_fce, np.tile(m.proj.b @ m.cls.w + m.cls.b, (2, 1)), atol=1e-12
+            out.logits["fce"], np.tile(m.proj.b @ m.cls.w + m.cls.b, (2, 1)), atol=1e-12
         )
 
     def test_eval_deterministic(self):
@@ -103,7 +103,7 @@ class TestForward:
         batch = rng.normal(size=(3, 1, 8, 8))
         a = m.forward(batch, training=False)
         b = m.forward(batch, training=False)
-        np.testing.assert_array_equal(a.logits_fce, b.logits_fce)
+        np.testing.assert_array_equal(a.logits["fce"], b.logits["fce"])
 
     def test_training_mode_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
@@ -111,13 +111,34 @@ class TestForward:
         batch = rng.normal(size=(3, 1, 8, 8))
         a = m.forward(batch, training=True, seed=7)
         b = m.forward(batch, training=True, seed=7)
-        np.testing.assert_array_equal(a.logits_ce, b.logits_ce)
+        np.testing.assert_array_equal(a.logits["ce"], b.logits["ce"])
 
     def test_logit_widths(self):
         m = TwoStreamModel(TINY, seed=1)
         out = m.forward(np.zeros((5, 1, 8, 8)))
-        for logits in (out.logits_ce, out.logits_msml, out.logits_fce):
+        for logits in out.logits.values():
             assert logits.shape == (5, TINY.num_classes)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
+    def test_logits_are_keyed_by_the_heads_in_order(self, build, training):
+        m = build(TINY, seed=1)
+        assert tuple(m.forward(np.zeros((2, 1, 8, 8)), training=training).logits) == m.heads
+
+    def test_logits_read_by_attribute_name(self):
+        out = BaselineModel(TINY, seed=1).forward(np.zeros((2, 1, 8, 8)))
+        assert out.logits_ce is out.logits["ce"] and out.logits_fce is None
+        with pytest.raises(AttributeError):
+            out.scores
+
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
+    def test_backward_without_head_gradients_leaves_every_gradient_zero(self, build):
+        m = build(TINY, seed=1)
+        out = m.forward(np.random.default_rng(4).normal(size=(2, 1, 8, 8)), training=True, seed=2)
+        m.zero_grads()
+        m.backward(out.tape, {})
+        for name, _, grad in m.params():
+            assert not grad.any(), name
 
     def test_wrong_spatial_size_rejected(self):
         m = TwoStreamModel(TINY, seed=1)
@@ -157,13 +178,13 @@ class TestNoPerCallState:
     def test_backward_uses_only_its_tape(self, build):
         rng = np.random.default_rng(9)
         first, second = rng.normal(size=(2, 3, 1, 8, 8))
-        grads = [rng.normal(size=(3, TINY.num_classes)) for _ in range(3)]
+        grads = {head: rng.normal(size=(3, TINY.num_classes)) for head in ("ce", "msml", "fce")}
 
         def grads_after(batches):
             m = build(TINY, seed=2)
             outs = [m.forward(b, training=True, seed=4) for b in batches]
             m.zero_grads()
-            m.backward(outs[0].tape, *grads)
+            m.backward(outs[0].tape, grads)
             return [g.copy() for _, _, g in m.params()]
 
         for a, b in zip(grads_after([first]), grads_after([first, second])):
@@ -197,7 +218,7 @@ class TestStreamThreads:
         rng = np.random.default_rng(10)
         out = m.forward(rng.normal(size=(2, 1, 8, 8)), training=training, seed=3)
         if training:  # an eval pass keeps no tape to run backward on
-            m.backward(out.tape, *(rng.normal(size=(2, TINY.num_classes)) for _ in range(3)))
+            m.backward(out.tape, {head: rng.normal(size=(2, TINY.num_classes)) for head in m.heads})
         here = threading.get_ident()
         return {(("a" if stream is m.stream_a else "b"), method, thread == here)
                 for stream, method, thread in calls}
@@ -250,7 +271,7 @@ class TestEvalPass:
         ref = oracle.forward(batch, training=True, seed=2)
         assert ref.tape is not None
         for head in model.heads:
-            np.testing.assert_array_equal(getattr(out, f"logits_{head}"), getattr(ref, f"logits_{head}"))
+            np.testing.assert_array_equal(out.logits[head], ref.logits[head])
 
     def test_eval_forward_frees_its_intermediates(self):
         model = TwoStreamModel(ModelConfig(), seed=1)
@@ -264,7 +285,7 @@ class TestEvalPass:
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert out.logits_fce.shape == (64, 8)
+            assert out.logits["fce"].shape == (64, 8)
             return kept, peak
 
         kept, eval_peak = traced(False)
@@ -391,7 +412,7 @@ class TestPredict:
         batch = rng.normal(size=(4, 1, 8, 8))
         out = m.forward(batch)
         probs = predict(m, batch)
-        order_logits = np.argsort(out.logits_ce.ravel())
+        order_logits = np.argsort(out.logits["ce"].ravel())
         order_probs = np.argsort(probs["ce"].ravel())
         np.testing.assert_array_equal(order_logits, order_probs)
         assert (probs["ce"] > 0).all() and (probs["ce"] < 1).all()
@@ -423,7 +444,7 @@ class TestCheckpoints:
         assert (back.kind, back.cfg) == ("baseline", TINY)
         out_a = m.forward(np.ones((2, 1, 8, 8)))
         out_b = back.forward(np.ones((2, 1, 8, 8)))
-        np.testing.assert_array_equal(out_a.logits_ce, out_b.logits_ce)
+        np.testing.assert_array_equal(out_a.logits["ce"], out_b.logits["ce"])
 
     def test_save_is_byte_deterministic(self, tmp_path):
         m = TwoStreamModel(TINY, seed=9)

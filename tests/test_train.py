@@ -1,5 +1,6 @@
 """Training loop behavior: smoke runs, strategies, determinism, freezing."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -51,8 +52,8 @@ class TestSmoke:
         crops = ds.crop_batch(tiny.images, CFG.input_size[0], training=False)
 
         def eval_loss(model):
-            losses, _ = _losses_and_grads(model.forward(crops), tiny.labels, (), 0.0, 0.0)
-            return total_loss(*losses, model.loss_weights)
+            losses, _ = _losses_and_grads(model.forward(crops), tiny.labels, {})
+            return total_loss(losses["ce"], losses["msml"], losses["fce"], LossWeights())
 
         wins = 0
         for seed in range(5):
@@ -81,11 +82,20 @@ class TestSmoke:
         assert history[0].alpha_ce > 0.0
 
 
+class TestNonSquareInput:
+    def test_one_epoch_and_scoring_at_16x12(self, folds):
+        model = TwoStreamModel(dataclasses.replace(CFG, input_size=(16, 12)), seed=2)
+        history = train(model, folds["train"], folds["val"], epochs=1, seed=2)
+        assert len(history) == 1 and np.isfinite(history[0].beta_fce)
+        scores = score_fold(model, folds["val"])
+        assert all(scores[head].shape == folds["val"].labels.shape for head in model.heads)
+
+
 class TestDeterminism:
     def test_identical_runs_bit_identical_params(self, folds):
         def run():
-            model = TwoStreamModel(CFG, seed=4, loss_weights=LossWeights())
-            train(model, folds["train"], folds["val"], strategy="global", epochs=2, seed=4)
+            model = TwoStreamModel(CFG, seed=4)
+            train(model, folds["train"], folds["val"], strategy="global", epochs=2, seed=4, weights=LossWeights())
             return snapshot(model)
 
         a, b = run(), run()
