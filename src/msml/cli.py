@@ -92,10 +92,14 @@ def load_folds(data_dir, names=None):
     for name in ("train", *names):
         if name not in folds_idx:
             raise DataError(f"{data_dir / 'splits.json'} has no fold {name!r}")
-    images = {name: data.images[folds_idx[name]] for name in names}
-    normed = ds.normalize(images, data.images[folds_idx["train"]])
-    folds = {name: FoldData(normed[name], data.labels[folds_idx[name]].astype(np.float64)) for name in names}
-    return folds, data.class_names
+    labels = {name: data.labels[folds_idx[name]].astype(np.float64) for name in names}
+    pixels = {name: data.images[folds_idx[name]] for name in ("train", *names)}  # float32, each fold once
+    class_names = data.class_names
+    # Only the folds' gathers are needed from here on: drop the dataset's
+    # pixels before normalize makes its float64 arrays.
+    del data
+    normed = ds.normalize({name: pixels[name] for name in names}, pixels["train"])
+    return {name: FoldData(normed[name], labels[name]) for name in names}, class_names
 
 
 # ---------------------------------------------------------------------------

@@ -191,23 +191,35 @@ def split(dataset: Dataset, seed: int):
 # ---------------------------------------------------------------------------
 
 def channel_stats(images):
-    """Per-channel mean and std over samples and space, in float64."""
-    x = np.asarray(images, dtype=FLOAT)
-    mean = x.mean(axis=(0, 2, 3))
-    std = x.std(axis=(0, 2, 3))
+    """Per-channel mean and std over samples and space, in float64.
+
+    The bits are those of ``x.mean(axis=(0, 2, 3))`` and ``x.std(axis=(0, 2, 3))``
+    for ``x`` the images as float64. The std is computed in numpy's own order
+    (subtract the mean, square, sum, divide, sqrt), in place on one float64
+    copy, so ``images`` is left unchanged and no second temporary is made.
+    """
+    x = np.array(images, dtype=FLOAT)  # a copy, even of a float64 array
+    axes = (0, 2, 3)
+    mean = x.mean(axis=axes)
+    x -= mean[None, :, None, None]
+    np.multiply(x, x, out=x)
+    std = np.sqrt(x.sum(axis=axes) / (x.size // x.shape[1]))
     return mean, std
 
 
 def normalize(images_by_fold: dict, train_images):
-    """Standardize each fold of the dict with the per-channel statistics of ``train_images``."""
+    """Standardize each fold of the dict with the per-channel statistics of
+    ``train_images``: one new float64 array per fold, standardized in place.
+    The arguments are left unchanged."""
     if len(train_images) == 0:
         raise DataError("normalize: the train fold is empty")
     mean, std = channel_stats(train_images)
     denom = np.maximum(std, 1e-6)
     out = {}
     for name, imgs in images_by_fold.items():
-        x = np.asarray(imgs, dtype=FLOAT)
-        out[name] = (x - mean[None, :, None, None]) / denom[None, :, None, None]
+        x = out[name] = np.array(imgs, dtype=FLOAT)
+        x -= mean[None, :, None, None]
+        x /= denom[None, :, None, None]
     return out
 
 
@@ -236,19 +248,24 @@ def crop_batch(images, out_size, training, rng=None):
 # storage
 # ---------------------------------------------------------------------------
 
-def write_atomic(path, data):
-    """Write bytes or text to ``path`` through ``<name>.tmp`` and a rename.
+def write_atomic(path, *parts):
+    """Write ``parts`` to ``path``, in order, through ``<name>.tmp`` and a rename.
 
-    Readers see the old file or the new one, never a partial write. If the
-    write or the rename fails, the temp file is removed and the error re-raised.
+    The parts are one str, written as text, or any bytes-like objects (bytes,
+    bytearray, memoryview, a C-contiguous array), each written from its own
+    buffer without a copy. Readers see the old file or the new one, never a
+    partial write. If the write or the rename fails, the temp file is removed
+    and the error re-raised.
     """
     path = Path(path)
     tmp = path.parent / (path.name + ".tmp")
     try:
-        if isinstance(data, bytes):
-            tmp.write_bytes(data)
+        if len(parts) == 1 and isinstance(parts[0], str):
+            tmp.write_text(parts[0])
         else:
-            tmp.write_text(data)
+            with open(tmp, "wb") as fh:
+                for part in parts:
+                    fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -269,9 +286,8 @@ def save(dataset: Dataset, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     n, channels, h, w = dataset.images.shape
-    payload = MAGIC + struct.pack("<4I", n, channels, h, w)
-    payload += dataset.images.astype("<f4").tobytes()
-    write_atomic(directory / "images.bin", payload)
+    pixels = np.ascontiguousarray(dataset.images, dtype="<f4")  # the images themselves, when already float32
+    write_atomic(directory / "images.bin", MAGIC + struct.pack("<4I", n, channels, h, w), pixels)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -284,20 +300,26 @@ def save(dataset: Dataset, directory):
 def load(directory) -> Dataset:
     """Read a dataset back; raises FormatError with a byte offset on corruption."""
     directory = Path(directory)
-    raw = (directory / "images.bin").read_bytes()
-    if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"bad magic {raw[:8]!r}, expected {MAGIC!r}", offset=0)
     header_end = len(MAGIC) + 16
-    if len(raw) < header_end:
-        raise FormatError("truncated header", offset=len(raw))
-    n, channels, h, w = struct.unpack("<4I", raw[len(MAGIC) : header_end])
-    expected = header_end + n * channels * h * w * 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"image payload has {len(raw) - header_end} bytes, expected {expected - header_end}",
-            offset=min(len(raw), expected),
-        )
-    images = np.frombuffer(raw, dtype="<f4", offset=header_end).reshape(n, channels, h, w).copy()
+    with open(directory / "images.bin", "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(header_end)
+        if head[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"bad magic {head[:8]!r}, expected {MAGIC!r}", offset=0)
+        if len(head) < header_end:
+            raise FormatError("truncated header", offset=len(head))
+        n, channels, h, w = struct.unpack("<4I", head[len(MAGIC) :])
+        expected = header_end + n * channels * h * w * 4
+        if size != expected:  # checked before the pixels are allocated
+            raise FormatError(
+                f"image payload has {size - header_end} bytes, expected {expected - header_end}",
+                offset=min(size, expected),
+            )
+        images = np.empty((n, channels, h, w), dtype="<f4")
+        got = fh.readinto(images)  # straight into the array: the pixels are held once
+    if got != expected - header_end:  # the file shrank after fstat
+        raise FormatError(f"image payload has {got} bytes, expected {expected - header_end}",
+                          offset=header_end + got)
     finite = np.isfinite(images)
     if not finite.all():  # argmin finds the first False of the flattened array
         raise FormatError("images.bin holds a NaN or an infinite pixel", offset=header_end + 4 * int(np.argmin(finite)))

@@ -5,9 +5,26 @@ O(N^2) pairwise definition, the convolution and max-pool oracles are direct
 loops over the defining sum or maximum, and the MSML oracle loops over the
 samples of a batch. The convolution and max-pool oracles take any stride,
 padding or window, while the library runs only the shapes the model uses.
+``peak_memory`` measures what a block allocates, for the memory bounds.
 """
 
+import contextlib
+import tracemalloc
+
 import numpy as np
+
+
+@contextlib.contextmanager
+def peak_memory():
+    """Trace the block's Python and numpy allocations. Yields a list that,
+    once the block has exited (raising or not), holds their peak in bytes."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def brute_force_auc(scores, labels):

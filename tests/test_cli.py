@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import peak_memory
 from msml import dataset as ds
 from msml.cli import ExperimentConfig, main
 from msml.errors import ConfigError
@@ -314,6 +315,18 @@ class TestEval:
         assert same_names == names
         np.testing.assert_array_equal(only["test"].images, every["test"].images)
         np.testing.assert_array_equal(only["test"].labels, every["test"].labels)
+
+    def test_scoring_a_split_holds_the_pixels_and_the_train_fold_once(self, tmp_path):
+        data = ds.generate(ds.GeneratorSpec(num_samples=2000, seed=5))
+        folds = ds.split(data, 5)
+        ds.save(data, tmp_path)
+        ds.save_splits(folds, tmp_path / "splits.json")
+        # the float32 pixels, and the train fold as float64 for its statistics
+        bound = 1.25 * (data.images.nbytes + 2 * data.images[folds["train"]].nbytes)
+        del data
+        with peak_memory() as peak:
+            cli_mod.load_folds(tmp_path, ("test",))
+        assert peak[0] <= bound
 
     def test_truncated_splits_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
         copy = tmp_path / "data"

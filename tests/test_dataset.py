@@ -1,8 +1,11 @@
 """Generator, split, normalization, crop, and storage tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from helpers import peak_memory
 from msml import dataset as ds
 from msml.errors import ConfigError, DataError, DimensionError, FormatError
 
@@ -186,6 +189,17 @@ class TestNormalize:
         with pytest.raises(DataError):
             ds.normalize({"train": np.zeros((0, 1, 4, 4))}, np.zeros((0, 1, 4, 4)))
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_channel_stats_are_numpys_bits_and_leave_the_input_alone(self, dtype, channels):
+        images = np.random.default_rng(channels).normal(0.4, 0.2, size=(37, channels, 13, 11)).astype(dtype)
+        before = images.copy()
+        mean, std = ds.channel_stats(images)
+        x = images.astype(np.float64)
+        assert np.array_equal(mean, x.mean(axis=(0, 2, 3)))
+        assert np.array_equal(std, x.std(axis=(0, 2, 3)))
+        assert np.array_equal(images, before)
+
 
 class TestCrop:
     def test_full_size_identity(self):
@@ -233,10 +247,30 @@ class TestStorage:
         data = ds.generate(small_spec(num_samples=20))
         ds.save(data, tmp_path)
         blob = (tmp_path / "images.bin").read_bytes()
-        (tmp_path / "images.bin").write_bytes(blob[:-10])
-        with pytest.raises(FormatError) as err:
+        for damaged in (blob[:-10], blob + bytes(10)):  # the offset is min(file size, expected end)
+            (tmp_path / "images.bin").write_bytes(damaged)
+            with pytest.raises(FormatError, match="image payload has") as err:
+                ds.load(tmp_path)
+            assert err.value.offset == min(len(damaged), len(blob))
+
+    def test_file_ending_inside_the_header_names_its_length(self, tmp_path):
+        ds.save(ds.generate(small_spec(num_samples=5)), tmp_path)
+        blob = (tmp_path / "images.bin").read_bytes()
+        (tmp_path / "images.bin").write_bytes(blob[:20])
+        with pytest.raises(FormatError, match="truncated header") as err:
             ds.load(tmp_path)
-        assert err.value.offset is not None
+        assert err.value.offset == 20
+
+    def test_header_claiming_more_pixels_than_the_file_allocates_nothing(self, tmp_path):
+        data = ds.generate(small_spec(num_samples=400))  # 1.6 MB of pixels
+        ds.save(data, tmp_path)
+        blob = bytearray((tmp_path / "images.bin").read_bytes())
+        blob[8:12] = struct.pack("<I", 1_000_000)  # N
+        (tmp_path / "images.bin").write_bytes(bytes(blob))
+        with peak_memory() as peak, pytest.raises(FormatError, match="image payload has") as err:
+            ds.load(tmp_path)
+        assert err.value.offset == len(blob)
+        assert peak[0] < 2**20
 
     def test_bad_magic(self, tmp_path):
         data = ds.generate(small_spec(num_samples=5))
@@ -264,6 +298,23 @@ class TestStorage:
         with pytest.raises(OSError, match="rename refused"):
             ds.save(ds.generate(small_spec(num_samples=5)), tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_save_makes_no_copy_of_the_pixels(self, tmp_path):
+        data = ds.generate(small_spec(num_samples=2000, num_groups=100))
+        with peak_memory() as peak:
+            ds.save(data, tmp_path)
+        assert peak[0] < data.images.nbytes / 2
+        np.testing.assert_array_equal(ds.load(tmp_path).images, data.images)
+
+    def test_write_atomic_takes_any_bytes_like_or_text(self, tmp_path):
+        payload = bytes(range(256)) * 3
+        for data in (bytearray(payload), memoryview(payload)):
+            ds.write_atomic(tmp_path / "blob", data)
+            assert (tmp_path / "blob").read_bytes() == payload
+        ds.write_atomic(tmp_path / "blob", b"head", np.arange(3, dtype="<f4"))
+        assert (tmp_path / "blob").read_bytes() == b"head" + np.arange(3, dtype="<f4").tobytes()
+        ds.write_atomic(tmp_path / "text", "caf\u00e9\n")
+        assert (tmp_path / "text").read_text() == "caf\u00e9\n"
 
     def test_splits_round_trip(self, tmp_path):
         data = ds.generate(small_spec())

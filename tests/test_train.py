@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import msml
+from helpers import peak_memory
 from msml import dataset as ds
 from msml.errors import ConfigError, DataError, NumericalError
 from msml.losses import LossWeights, total_loss
@@ -110,6 +111,37 @@ class TestDeterminism:
         three = score_fold(model, folds["val"])
         for head in one:
             np.testing.assert_array_equal(one[head], three[head])
+
+    def test_score_fold_independent_of_batch_size(self, monkeypatch):
+        # OpenBLAS picks its kernel by matrix shape: a batch of fewer than 8 or
+        # an odd number of samples can round the FCE projection's last bit
+        # differently. 104 is a multiple of none of these sizes, and each
+        # splits it into even batches of 8 or more.
+        model = TwoStreamModel(ModelConfig(), seed=6)
+        fold = FoldData(np.random.default_rng(6).normal(size=(104, 1, 32, 32)), np.zeros((104, 8)))
+        scores = []
+        for batch in (16, 24, 64):
+            monkeypatch.setattr(msml.train, "SCORE_BATCH", batch)
+            scores.append(score_fold(model, fold))
+        for head in model.heads:
+            assert np.array_equal(scores[0][head], scores[1][head])
+            assert np.array_equal(scores[0][head], scores[2][head])
+
+    def test_score_fold_peak_does_not_grow_with_the_fold(self, monkeypatch):
+        monkeypatch.setenv("MSML_THREADS", "1")
+        model = TwoStreamModel(ModelConfig(), seed=6)
+        images = np.random.default_rng(7).normal(size=(400, 1, 32, 32))
+
+        def peak(n):
+            fold = FoldData(images[:n], np.zeros((n, 8)))
+            score_fold(model, fold)  # warm numpy's and BLAS's buffers
+            with peak_memory() as traced:
+                score_fold(model, fold)
+            return traced[0]
+
+        short, long = peak(64), peak(400)
+        assert long < 8 * 2**20
+        assert abs(long - short) <= 0.1 * short
 
     def test_training_independent_of_thread_count(self, folds, monkeypatch):
         def run(threads):
