@@ -6,16 +6,15 @@ The two streams start from bit-identical backbone weights (built from the
 same seed) and are driven apart during training by their different head
 losses. The bilinear head consumes both streams' final feature maps.
 
-Checkpoints use magic ``MSML0002``, then a little-endian uint32 length and
+Checkpoints use magic ``MSML0003``, then a little-endian uint32 length and
 a UTF-8 ``key = value`` block (the ModelConfig fields and the model ``kind``,
-in the syntax of ``dataset.parse_fields``) from which a model can be rebuilt
-from the file alone, then a uint32 tensor count and per tensor: uint32 name
-length, UTF-8 name, uint32 rank, uint32 dims, raw little-endian float64 data.
+in the syntax of ``dataset.parse_fields``), then the raw little-endian float64
+values of ``model.params()``, in that order. The block alone describes the
+architecture: a model is rebuilt from it, and its parameters filled in order.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import struct
@@ -33,7 +32,7 @@ from .errors import ConfigError, DimensionError, FormatError
 
 FLOAT = np.float64
 
-CHECKPOINT_MAGIC = b"MSML0002"
+CHECKPOINT_MAGIC = b"MSML0003"
 
 
 # ---------------------------------------------------------------------------
@@ -452,88 +451,57 @@ class _Header(ModelConfig):
 
 def save_checkpoint(model, path):
     block = format_fields(_Header(**vars(model.cfg), kind=model.kind)).encode("utf-8")
-    params = model.params()
-    blob = bytearray(CHECKPOINT_MAGIC)
-    blob += struct.pack("<I", len(block)) + block
-    blob += struct.pack("<I", len(params))
-    for name, value, _ in params:
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded))
-        blob += encoded
-        blob += struct.pack("<I", value.ndim)
-        blob += struct.pack(f"<{value.ndim}I", *value.shape)
-        blob += np.ascontiguousarray(value, dtype="<f8").tobytes()
-    write_atomic(path, bytes(blob))
+    values = [np.ascontiguousarray(value, dtype="<f8") for _, value, _ in model.params()]
+    write_atomic(path, CHECKPOINT_MAGIC, struct.pack("<I", len(block)), block, *values)
 
 
-def read_checkpoint(path):
-    """Return (the parsed model block, dict name -> float64 array); FormatError,
-    with a byte offset where one applies, on any corruption the format can detect."""
-    raw = Path(path).read_bytes()
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError(f"checkpoint magic {raw[:8]!r} is not {CHECKPOINT_MAGIC!r}", offset=0)
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(raw):
-            raise FormatError(f"checkpoint truncated while reading {what}", offset=len(raw))
-        chunk = raw[off : off + n]
-        off += n
-        return chunk
-
-    (block_len,) = struct.unpack("<I", take(4, "block length"))
-    text = decode_utf8(take(block_len, "model block"), "checkpoint model block", off - block_len)
-    try:
-        header = parse_fields(_Header, text)
-    except ConfigError as exc:
-        raise FormatError(f"checkpoint model block: {exc}") from exc
-    if header.kind not in MODELS:
-        raise FormatError(f"checkpoint model block: kind must be one of {sorted(MODELS)}, got {header.kind!r}")
-    (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
-    tensors = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = decode_utf8(take(name_len, "name"), "checkpoint tensor name", off - name_len)
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        if rank > 4:
-            raise FormatError(f"checkpoint tensor {name} has rank {rank}; no tensor has more than 4", offset=off - 4)
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        count = math.prod(dims)
-        data = np.frombuffer(take(8 * count, f"data of {name}"), dtype="<f8")
-        if not np.isfinite(data).all():
-            raise FormatError(f"checkpoint tensor {name} holds a NaN or an infinity", offset=off - 8 * count)
-        tensors[name] = data.reshape(dims).astype(FLOAT)
-    if off != len(raw):
-        raise FormatError(f"{len(raw) - off} trailing bytes after last tensor", offset=off)
-    return header, tensors
+def _value_count(cfg: ModelConfig, kind):
+    """How many float64 values a ``kind`` model of ``cfg`` holds, without building it."""
+    d, h, w = cfg.feature_shape
+    in_chs = (cfg.input_channels, *(o for o, _, _ in cfg.conv_blocks))
+    backbone = sum(o * (i * k * k + 1) for (o, k, _), i in zip(cfg.conv_blocks, in_chs))
+    head = (d * h * w + 1) * cfg.num_classes
+    if kind == BaselineModel.kind:
+        return backbone + head
+    return 2 * (backbone + head) + (d * d + 1) * cfg.proj_width + (cfg.proj_width + 1) * cfg.num_classes
 
 
 def model_from_checkpoint(path):
     """Rebuild a model from a checkpoint's model block and load its weights.
 
-    A block that describes a weight larger than the checkpoint's largest
-    tensor raises FormatError before anything is built, so a corrupt size
-    allocates nothing.
+    FormatError, with a byte offset where one applies, on any corruption the
+    format can detect. A payload that is not exactly the block's value count
+    is rejected before anything is built, so a corrupt size allocates nothing.
     """
-    header, tensors = read_checkpoint(path)
+    raw = Path(path).read_bytes()
+    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise FormatError(f"checkpoint magic {raw[:8]!r} is not {CHECKPOINT_MAGIC!r}", offset=0)
+    start = len(CHECKPOINT_MAGIC) + 4
+    if len(raw) < start:
+        raise FormatError("checkpoint truncated while reading the block length", offset=len(raw))
+    end = start + struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))[0]
+    if end > len(raw):
+        raise FormatError("checkpoint truncated while reading the model block", offset=len(raw))
+    try:
+        header = parse_fields(_Header, decode_utf8(raw[start:end], "checkpoint model block", start))
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint model block: {exc}") from exc
+    if header.kind not in MODELS:
+        raise FormatError(f"checkpoint model block: kind must be one of {sorted(MODELS)}, got {header.kind!r}")
     cfg = ModelConfig(**{f.name: getattr(header, f.name) for f in fields(ModelConfig)})
-    d, h, w = cfg.feature_shape
-    in_chs = (cfg.input_channels, *(o for o, _, _ in cfg.conv_blocks))
-    weights = [o * i * k * k for (o, k, _), i in zip(cfg.conv_blocks, in_chs)] + [d * h * w * cfg.num_classes]
-    if header.kind == TwoStreamModel.kind:
-        weights += [d * d * cfg.proj_width, cfg.proj_width * cfg.num_classes]
-    largest = max((value.size for value in tensors.values()), default=0)
-    if max(weights) > largest:
-        raise FormatError(f"checkpoint model block describes a {max(weights)}-value weight; its largest tensor has {largest}")
+    count = _value_count(cfg, header.kind)
+    if len(raw) - end != 8 * count:
+        raise FormatError(f"checkpoint model block describes {8 * count} bytes of values; {len(raw) - end} follow it",
+                          offset=end)
+    values = np.frombuffer(raw, dtype="<f8", offset=end)
     model = MODELS[header.kind](cfg, seed=0)
+    at = 0
     for name, value, _ in model.params():
-        if name not in tensors:
-            raise FormatError(f"checkpoint lacks parameter {name}")
-        stored = tensors[name]
-        if stored.shape != value.shape:
-            raise FormatError(
-                f"checkpoint parameter {name} has shape {stored.shape}, model expects {value.shape}"
-            )
-        value[...] = stored
+        stored = values[at : at + value.size]
+        bad = np.flatnonzero(~np.isfinite(stored))
+        if bad.size:
+            raise FormatError(f"checkpoint parameter {name} holds a NaN or an infinity",
+                              offset=end + 8 * (at + int(bad[0])))
+        value[...] = stored.reshape(value.shape)
+        at += value.size
     return model

@@ -21,7 +21,7 @@ train seed, data, config).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,11 +33,10 @@ from .model import Adam, lr_schedule, predict, worker_pool
 
 STRATEGIES = ("global", "local", "local_fixed")
 
-HISTORY_COLUMNS = ("epoch", "lr", "alpha_ce", "alpha_msml", "beta_fce", "val_macro_auc")
-
 # Samples per forward pass when scoring a fold. Each worker holds one batch's
 # temporaries, and block 2's column matrix alone is 144 x (batch * 196)
-# doubles: 3.6 MB at 16, 14.5 MB at 64. Scores are the same at any batch size.
+# doubles: 3.6 MB at 16, 14.5 MB at 64. BLAS may round a GEMM's last bit
+# differently at another row count, so every batch is run at this size.
 SCORE_BATCH = 16
 
 
@@ -52,8 +51,10 @@ class EpochStats:
 
     def row(self):
         # float() first: under numpy 2, repr of a numpy scalar is "np.float64(...)".
-        values = (self.lr, self.alpha_ce, self.alpha_msml, self.beta_fce, self.val_macro_auc)
-        return [self.epoch] + [repr(float(v)) for v in values]
+        return [self.epoch] + [repr(float(getattr(self, name))) for name in HISTORY_COLUMNS[1:]]
+
+
+HISTORY_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
 
 @dataclass
@@ -99,20 +100,16 @@ def _losses_and_grads(out, labels, weights):
 
 
 def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global", epochs=6,
-          batch_size=16, seed=0, initial_lr=1e-4, weights=LossWeights(), on_phase_end=None):
+          batch_size=16, seed=0, initial_lr=1e-4, weights=LossWeights()):
     """Train in place with loss weights ``weights``; returns the per-epoch
-    history as a list of EpochStats.
-
-    ``on_phase_end(phase_index, model)`` fires after each strategy phase,
-    which is how tests observe the parameter state at phase boundaries.
-    """
+    history as a list of EpochStats. Each phase builds its own Adam."""
     if len(train_fold) == 0 or len(val_fold) == 0:
         raise DataError("train and validation folds must be nonempty")
     rng = np.random.default_rng([seed, 17])
     n = len(train_fold)
     history = []
     epoch = 0
-    for phase_index, (phase_epochs, head_weights, params) in enumerate(_phases(strategy, epochs, model, weights)):
+    for phase_epochs, head_weights, params in _phases(strategy, epochs, model, weights):
         opt = Adam(params)
         for _ in range(phase_epochs):
             lr = lr_schedule(initial_lr, epoch)
@@ -145,8 +142,6 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
                 val_auc = float("nan")
             history.append(EpochStats(epoch, lr, *(sums / steps), val_auc))
             epoch += 1
-        if on_phase_end is not None:
-            on_phase_end(phase_index, model)
     return history
 
 
@@ -155,16 +150,21 @@ def score_fold(model, fold: FoldData):
 
     Batches are pure forward passes, so they run on the worker pool (none
     with MSML_THREADS=1); results are merged in batch order and are identical
-    at any thread count.
+    at any thread count. The last batch is padded to SCORE_BATCH rows with
+    repeats of the fold's last sample, whose scores are dropped, so a sample's
+    scores do not depend on the length of its fold or its place in it.
     """
-    if len(fold) == 0:
+    n = len(fold)
+    if n == 0:
         raise DataError("cannot score an empty fold")
     xb = crop_batch(fold.images, model.cfg.input_size, training=False)
-    batches = [xb[i : i + SCORE_BATCH] for i in range(0, xb.shape[0], SCORE_BATCH)]
+    batches = [xb[i : i + SCORE_BATCH] for i in range(0, n, SCORE_BATCH)]
+    if n % SCORE_BATCH:
+        batches[-1] = np.concatenate([batches[-1], np.repeat(xb[-1:], -n % SCORE_BATCH, axis=0)])
 
     def run(batch):
         return predict(model, batch)
 
     pool = worker_pool()
     results = list(pool.map(run, batches)) if pool is not None else [run(b) for b in batches]
-    return {head: np.concatenate([r[head] for r in results]) for head in model.heads}
+    return {head: np.concatenate([r[head] for r in results])[:n] for head in model.heads}

@@ -13,7 +13,7 @@ from msml.cli import ExperimentConfig, main
 from msml.errors import ConfigError
 from msml.losses import LossWeights
 from msml.metrics import MetricsReport, ScoreMatrix, build_report
-from msml.model import ModelConfig, TwoStreamModel, model_from_checkpoint, read_checkpoint, save_checkpoint
+from msml.model import ModelConfig, TwoStreamModel, model_from_checkpoint, save_checkpoint
 from msml.train import score_fold
 import msml.cli as cli_mod
 
@@ -189,8 +189,8 @@ class TestTrain:
             data_dir=data, model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "run"
         ))
         assert main(["train", "--config", str(config)]) == 0
-        header, tensors = read_checkpoint(tmp_path / "run" / "model.ckpt")
-        assert header.input_channels == 3 and tensors["stream_a.block0.conv.w"].shape[1] == 3
+        model = model_from_checkpoint(tmp_path / "run" / "model.ckpt")
+        assert model.cfg.input_channels == 3 and model.stream_a.convs[0].w.shape[1] == 3
         assert main(["eval", "--checkpoint", str(tmp_path / "run" / "model.ckpt"), "--data", str(data),
                      "--out", str(tmp_path / "report.json")]) == 0
 
@@ -375,7 +375,7 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
                      "--data", str(data_dir), "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "checkpoint magic b'MSML0001' is not b'MSML0002' (at byte offset 0)" in capsys.readouterr().err
+        assert "checkpoint magic b'MSML0001' is not b'MSML0003' (at byte offset 0)" in capsys.readouterr().err
 
     def test_head_the_checkpoint_lacks_exits_2_before_the_data_is_read(self, data_dir, tmp_path, capsys):
         config = tmp_path / "c.txt"

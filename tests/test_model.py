@@ -23,7 +23,6 @@ from msml.model import (
     lr_schedule,
     model_from_checkpoint,
     predict,
-    read_checkpoint,
     save_checkpoint,
 )
 
@@ -457,11 +456,44 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)
         blob = path.read_bytes()
-        assert blob[:8] == b"MSML0002"
-        assert b"num_classes = 4\n" in blob and b"kind = two_stream\n" in blob
-        header, tensors = read_checkpoint(path)
-        assert (header.num_classes, header.kind) == (4, "two_stream")
-        assert "stream_a.block0.conv.w" in tensors
+        assert blob[:8] == b"MSML0003"
+        (size,) = struct.unpack_from("<I", blob, 8)
+        block = blob[12 : 12 + size]
+        assert b"num_classes = 4\n" in block and b"kind = two_stream\n" in block
+        values = np.concatenate([value.ravel() for _, value, _ in m.params()])
+        assert blob[12 + size :] == values.astype("<f8").tobytes()
+        back = model_from_checkpoint(path)
+        assert (back.cfg.num_classes, back.kind) == (4, "two_stream")
+
+    @pytest.mark.parametrize("build, expected", [
+        (TwoStreamModel, [
+            ("stream_a.block0.conv.w", (4, 1, 3, 3)), ("stream_a.block0.conv.b", (4,)),
+            ("stream_a.block1.conv.w", (6, 4, 3, 3)), ("stream_a.block1.conv.b", (6,)),
+            ("stream_b.block0.conv.w", (4, 1, 3, 3)), ("stream_b.block0.conv.b", (4,)),
+            ("stream_b.block1.conv.w", (6, 4, 3, 3)), ("stream_b.block1.conv.b", (6,)),
+            ("head_ce.w", (24, 4)), ("head_ce.b", (4,)), ("head_msml.w", (24, 4)), ("head_msml.b", (4,)),
+            ("bilinear.proj.w", (36, 5)), ("bilinear.proj.b", (5,)),
+            ("bilinear.cls.w", (5, 4)), ("bilinear.cls.b", (4,)),
+        ]),
+        (BaselineModel, [
+            ("backbone.block0.conv.w", (4, 1, 3, 3)), ("backbone.block0.conv.b", (4,)),
+            ("backbone.block1.conv.w", (6, 4, 3, 3)), ("backbone.block1.conv.b", (6,)),
+            ("head_ce.w", (24, 4)), ("head_ce.b", (4,)),
+        ]),
+    ], ids=["two_stream", "baseline"])
+    def test_params_order_is_pinned(self, build, expected):
+        # a checkpoint stores the values in this order and nothing else
+        assert [(name, value.shape) for name, value, _ in build(TINY, seed=9).params()] == expected
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(), TINY,
+        ModelConfig(num_classes=3, input_size=(15, 11), input_channels=2,
+                    conv_blocks=((3, 5, True), (7, 1, False), (5, 3, True)), proj_width=7, dropout_rate=0.0),
+    ], ids=["default", "tiny", "odd"])
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=["two_stream", "baseline"])
+    def test_value_count_before_building_matches_the_built_model(self, build, cfg):
+        model = build(cfg, seed=1)
+        assert model_mod._value_count(cfg, model.kind) == sum(v.size for _, v, _ in model.params())
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -470,7 +502,16 @@ class TestCheckpoints:
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError) as err:
-            read_checkpoint(path)
+            model_from_checkpoint(path)
+        assert err.value.offset == 0
+
+    def test_version_two_checkpoint_names_its_magic(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(TwoStreamModel(TINY, seed=9), path)
+        path.write_bytes(b"MSML0002" + path.read_bytes()[8:])
+        monkeypatch.setattr(Model, "__init__", lambda *args: pytest.fail("a model was built"))
+        with pytest.raises(FormatError, match="checkpoint magic b'MSML0002' is not b'MSML0003'") as err:
+            model_from_checkpoint(path)
         assert err.value.offset == 0
 
     def test_truncation(self, tmp_path):
@@ -479,7 +520,20 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
-            read_checkpoint(path)
+            model_from_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [-8, 8], ids=["one-value-short", "one-value-long"])
+    def test_payload_not_the_block_value_count_rejected_before_building(self, tmp_path, monkeypatch, change):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(TwoStreamModel(TINY, seed=9), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        (size,) = struct.unpack_from("<I", blob, 8)
+        monkeypatch.setattr(Model, "__init__", lambda *args: pytest.fail("a model was built"))
+        with pytest.raises(FormatError, match=f"describes {len(blob) - 12 - size} bytes of values; "
+                                              f"{len(blob) - 12 - size + change} follow it") as err:
+            model_from_checkpoint(path)
+        assert err.value.offset == 12 + size
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, bad):
@@ -487,29 +541,12 @@ class TestCheckpoints:
         m.head_ce.w[1, 2] = bad
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)
-        with pytest.raises(FormatError, match="head_ce.w holds a NaN or an infinity"):
-            read_checkpoint(path)
-
-    def test_non_utf8_tensor_name_names_the_offset(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(TwoStreamModel(TINY, seed=9), path)
-        blob = bytearray(path.read_bytes())
-        at = blob.index(b"head_ce.w")
-        blob[at] = 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="tensor name is not UTF-8") as err:
-            read_checkpoint(path)
-        assert err.value.offset == at
-
-    def test_rank_above_four_rejected(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(TwoStreamModel(TINY, seed=9), path)
-        blob = bytearray(path.read_bytes())
-        name = b"stream_a.block0.conv.w"
-        struct.pack_into("<I", blob, blob.index(name) + len(name), 68)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="stream_a.block0.conv.w has rank 68"):
-            read_checkpoint(path)
+        (size,) = struct.unpack_from("<I", path.read_bytes(), 8)
+        names = [name for name, _, _ in m.params()]
+        before = sum(v.size for _, v, _ in m.params()[: names.index("head_ce.w")])
+        with pytest.raises(FormatError, match="parameter head_ce.w holds a NaN or an infinity") as err:
+            model_from_checkpoint(path)
+        assert err.value.offset == 12 + size + 8 * (before + np.ravel_multi_index((1, 2), m.head_ce.w.shape))
 
     @pytest.mark.parametrize(
         "line",
@@ -528,5 +565,5 @@ class TestCheckpoints:
         # 2**50 projection columns would need far more memory than exists
         save_with_block_line(tmp_path / "m.ckpt", f"proj_width = {2**50}")
         monkeypatch.setattr(Model, "__init__", lambda *args: pytest.fail("a model was built"))
-        with pytest.raises(FormatError, match="weight; its largest tensor has"):
+        with pytest.raises(FormatError, match="model block describes .* bytes of values"):
             model_from_checkpoint(tmp_path / "m.ckpt")

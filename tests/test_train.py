@@ -113,10 +113,9 @@ class TestDeterminism:
             np.testing.assert_array_equal(one[head], three[head])
 
     def test_score_fold_independent_of_batch_size(self, monkeypatch):
-        # OpenBLAS picks its kernel by matrix shape: a batch of fewer than 8 or
-        # an odd number of samples can round the FCE projection's last bit
-        # differently. 104 is a multiple of none of these sizes, and each
-        # splits it into even batches of 8 or more.
+        # score_fold pads its last batch to the full size, and OpenBLAS picks
+        # its kernel by matrix shape; these even sizes of 8 or more give each
+        # row the same bits. 104 is a multiple of none of them.
         model = TwoStreamModel(ModelConfig(), seed=6)
         fold = FoldData(np.random.default_rng(6).normal(size=(104, 1, 32, 32)), np.zeros((104, 8)))
         scores = []
@@ -126,6 +125,17 @@ class TestDeterminism:
         for head in model.heads:
             assert np.array_equal(scores[0][head], scores[1][head])
             assert np.array_equal(scores[0][head], scores[2][head])
+
+    def test_a_samples_scores_do_not_depend_on_its_fold(self):
+        # Unpadded, a short tail batch rounds some last bits differently: at the
+        # (0, 1), (0, 7) and (1, 34) cuts every head then differed somewhere.
+        model = TwoStreamModel(ModelConfig(), seed=6)
+        images = np.random.default_rng(8).normal(size=(40, 1, 28, 28))
+        whole = score_fold(model, FoldData(images, np.zeros((40, 8))))
+        for start, stop in ((0, 1), (0, 7), (3, 20), (5, 38), (13, 40), (39, 40), (1, 34)):
+            part = score_fold(model, FoldData(images[start:stop], np.zeros((stop - start, 8))))
+            for head in model.heads:
+                assert np.array_equal(part[head], whole[head][start:stop]), (head, start, stop)
 
     def test_score_fold_peak_does_not_grow_with_the_fold(self, monkeypatch):
         monkeypatch.setenv("MSML_THREADS", "1")
@@ -195,17 +205,26 @@ class TestSymmetryBreaking:
         assert max(diffs) > 0.0
 
 
+def snapshots_at_phase_starts(monkeypatch, model, prefixes):
+    """A list that gets a snapshot of ``model`` each time ``train`` starts a
+    phase, which it does by building a new Adam."""
+    starts = []
+
+    class Recording(msml.train.Adam):
+        def __init__(self, params):
+            starts.append(snapshot(model, prefixes))
+            super().__init__(params)
+
+    monkeypatch.setattr(msml.train, "Adam", Recording)
+    return starts
+
+
 class TestStrategies:
-    def test_local_fixed_freezes_everything_but_bilinear_head(self, folds):
+    def test_local_fixed_freezes_everything_but_bilinear_head(self, folds, monkeypatch):
         model = TwoStreamModel(CFG, seed=8)
-        boundary = {}
-
-        def capture(phase_index, m):
-            if phase_index == 0:
-                boundary.update(snapshot(m, ("stream_", "head_", "bilinear.")))
-
-        train(model, folds["train"], folds["val"], strategy="local_fixed",
-              epochs=3, seed=8, on_phase_end=capture)
+        starts = snapshots_at_phase_starts(monkeypatch, model, ("stream_", "head_", "bilinear."))
+        train(model, folds["train"], folds["val"], strategy="local_fixed", epochs=3, seed=8)
+        boundary = starts[1]
         final = snapshot(model)
         frozen = [n for n in final if n.startswith(("stream_", "head_"))]
         for name in frozen:
@@ -213,33 +232,23 @@ class TestStrategies:
         moved = [n for n in final if n.startswith("bilinear.")]
         assert any(not np.array_equal(final[n], boundary[n]) for n in moved)
 
-    def test_local_phase_one_leaves_bilinear_head_untouched(self, folds):
+    def test_local_phase_one_leaves_bilinear_head_untouched(self, folds, monkeypatch):
         model = TwoStreamModel(CFG, seed=9)
         before = snapshot(model, ("bilinear.",))
-        seen = {}
-
-        def capture(phase_index, m):
-            if phase_index == 0:
-                seen.update(snapshot(m, ("bilinear.",)))
-
-        train(model, folds["train"], folds["val"], strategy="local",
-              epochs=3, seed=9, on_phase_end=capture)
+        starts = snapshots_at_phase_starts(monkeypatch, model, ("bilinear.",))
+        train(model, folds["train"], folds["val"], strategy="local", epochs=3, seed=9)
+        seen = starts[1]
         for name, value in before.items():
             np.testing.assert_array_equal(seen[name], value, err_msg=name)
         # phase 2 then trains it
         after = snapshot(model, ("bilinear.",))
         assert any(not np.array_equal(after[n], before[n]) for n in after)
 
-    def test_local_phase_two_updates_backbones(self, folds):
+    def test_local_phase_two_updates_backbones(self, folds, monkeypatch):
         model = TwoStreamModel(CFG, seed=10)
-        boundary = {}
-
-        def capture(phase_index, m):
-            if phase_index == 0:
-                boundary.update(snapshot(m, ("stream_",)))
-
-        train(model, folds["train"], folds["val"], strategy="local",
-              epochs=3, seed=10, on_phase_end=capture)
+        starts = snapshots_at_phase_starts(monkeypatch, model, ("stream_",))
+        train(model, folds["train"], folds["val"], strategy="local", epochs=3, seed=10)
+        boundary = starts[1]
         final = snapshot(model, ("stream_",))
         assert any(not np.array_equal(final[n], boundary[n]) for n in final)
 

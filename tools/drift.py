@@ -3,7 +3,7 @@
 usage: python tools/drift.py OLD_OUT NEW_OUT
 
 For each model.ckpt under OLD_OUT, prints the largest absolute difference
-from the checkpoint at the same relative path under NEW_OUT, and the tensor
+from the checkpoint at the same relative path under NEW_OUT, and the parameter
 it is in. This is the drift a change that alters output bits states.
 """
 
@@ -13,19 +13,19 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from msml.model import read_checkpoint  # noqa: E402
+from msml.model import model_from_checkpoint  # noqa: E402
 
 
 def main(old_out, new_out):
     old_out, new_out = Path(old_out), Path(new_out)
     for old in sorted(old_out.rglob("model.ckpt")):
         rel = old.relative_to(old_out)
-        _, a = read_checkpoint(old)
-        _, b = read_checkpoint(new_out / rel)
-        if a.keys() != b.keys() or any(a[k].shape != b[k].shape for k in a):
-            print(f"{rel}: tensor names or shapes differ")
+        a, b = model_from_checkpoint(old), model_from_checkpoint(new_out / rel)
+        if (a.kind, a.cfg) != (b.kind, b.cfg):
+            print(f"{rel}: model blocks differ")
             continue
-        drift = {name: float(np.max(np.abs(a[name] - b[name]), initial=0.0)) for name in a}
+        drift = {name: float(np.max(np.abs(x - y), initial=0.0))
+                 for (name, x, _), (_, y, _) in zip(a.params(), b.params())}
         worst = max(drift, key=drift.get)
         print(f"{rel}: max |diff| {drift[worst]:.3e} in {worst}")
 
