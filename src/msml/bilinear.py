@@ -2,8 +2,8 @@
 
 The chain is: outer product of the two local descriptors at every spatial
 location, averaged over locations and vectorized row-major; then elementwise
-signed square root; then L2 normalization; then an affine projection (the
-1x1-conv equivalent on a pooled vector) and an affine classifier.
+signed square root; then L2 normalization. The model's projection (the 1x1-conv
+equivalent on a pooled vector) and classifier are ``model.Linear`` layers.
 
 Every function takes a batch: (N, d, H, W) maps or (N, D) vectors. Backward
 passes mirror the forwards exactly.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .ops import affine_backward, affine_forward
 
 FLOAT = np.float64
 
@@ -76,28 +75,17 @@ def l2_normalize_backward(dout, v, norms):
     return (dout - u * proj) / norms
 
 
-def bilinear_head_batch(f1, f2, proj_w, proj_b, cls_w, cls_b):
-    """Full chain pool -> signed sqrt -> l2 norm -> projection -> classifier.
-
-    Returns (logits, cache); the cache feeds ``bilinear_head_backward``.
-    """
-    f1 = np.asarray(f1, dtype=FLOAT)
-    f2 = np.asarray(f2, dtype=FLOAT)
+def bilinear_features(f1, f2):
+    """The feature chain pool -> signed sqrt -> l2 norm, as (u, cache); the cache
+    feeds ``bilinear_features_backward``."""
     v = bilinear_pool_batch(f1, f2)
     s = signed_sqrt(v)
     u, norms = l2_normalize_batch(s)
-    h, proj_cache = affine_forward(u, proj_w, proj_b)
-    logits, cls_cache = affine_forward(h, cls_w, cls_b)
-    cache = (f1, f2, v, s, norms, proj_cache, cls_cache)
-    return logits, cache
+    return u, (f1, f2, v, s, norms)
 
 
-def bilinear_head_backward(dlogits, cache):
-    """Returns (df1, df2, dproj_w, dproj_b, dcls_w, dcls_b)."""
-    f1, f2, v, s, norms, proj_cache, cls_cache = cache
-    dh, dcls_w, dcls_b = affine_backward(dlogits, cls_cache)
-    du, dproj_w, dproj_b = affine_backward(dh, proj_cache)
+def bilinear_features_backward(du, cache):
+    """Returns (df1, df2)."""
+    f1, f2, v, s, norms = cache
     ds = l2_normalize_backward(du, s, norms)
-    dv = signed_sqrt_backward(ds, v)
-    df1, df2 = bilinear_pool_backward(dv, f1, f2)
-    return df1, df2, dproj_w, dproj_b, dcls_w, dcls_b
+    return bilinear_pool_backward(signed_sqrt_backward(ds, v), f1, f2)

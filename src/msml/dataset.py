@@ -249,23 +249,22 @@ def crop_batch(images, out_size, training, rng=None):
 # ---------------------------------------------------------------------------
 
 def write_atomic(path, *parts):
-    """Write ``parts`` to ``path``, in order, through ``<name>.tmp`` and a rename.
+    """Write ``parts`` to ``path``, in order, through a temp file and a rename.
 
-    The parts are one str, written as text, or any bytes-like objects (bytes,
+    The parts are str, written as UTF-8, or any bytes-like objects (bytes,
     bytearray, memoryview, a C-contiguous array), each written from its own
-    buffer without a copy. Readers see the old file or the new one, never a
-    partial write. If the write or the rename fails, the temp file is removed
-    and the error re-raised.
+    buffer without a copy. Each call creates its own ``<name>.<random hex>.tmp``
+    beside ``path``, so concurrent writers each rename a whole file into place
+    and readers never see a partial write. If the write or the rename fails,
+    the temp file is removed and the error re-raised.
     """
     path = Path(path)
-    tmp = path.parent / (path.name + ".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        if len(parts) == 1 and isinstance(parts[0], str):
-            tmp.write_text(parts[0])
-        else:
-            with open(tmp, "wb") as fh:
-                for part in parts:
-                    fh.write(part)
+        with open(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -1,13 +1,14 @@
 """Central finite-difference verification of every analytic gradient.
 
 ``CASES`` maps each scope (layers, losses, bilinear, model) to its cases, and
-each case to its number of draws and a ``draw(rng, i)`` that returns the
-arrays to differentiate, a scalar objective of them and the analytic
-gradients. Op objectives contract the op's output with a random weighting;
-loss objectives are the (N, C) batch losses the training step calls; the
-model objective is the composite loss at one parameter coordinate of a
-miniature two-stream model in training mode, without dropout for the first
-half of the draws and with a fixed dropout mask for the second half.
+each case to its number of draws, its tolerance and a ``draw(rng, i)`` that
+returns the arrays to differentiate, a scalar objective of them and the
+analytic gradients; ``TOLERANCES`` is read off it. Op objectives contract the
+op's output with a random weighting; loss objectives are the (N, C) batch
+losses the training step calls; the model objective is the composite loss at
+one parameter coordinate of a miniature two-stream model in training mode,
+without dropout for the first half of the draws and with a fixed dropout mask
+for the second half.
 
 The error of a draw is the max-norm relative error
 ``max|a - n| / max(max|a|, max|n|, 1e-8)``, worst over its gradient tensors.
@@ -26,26 +27,10 @@ import numpy as np
 from . import bilinear as bl
 from . import ops
 from .losses import LossWeights, msml_batch, sigmoid_bce_batch, total_loss
-from .model import ModelConfig, TwoStreamModel
+from .model import Linear, ModelConfig, TwoStreamModel
 from .train import _losses_and_grads, _phases
 
 STEP = 1e-5
-
-# case name -> relative error tolerance
-TOLERANCES = {
-    "affine": 1e-6,
-    "conv2d": 1e-6,
-    "maxpool2d": 1e-6,
-    "relu": 1e-6,
-    "dropout": 1e-6,
-    "sigmoid_bce": 1e-6,
-    "msml": 1e-6,
-    "bilinear_pool": 1e-6,
-    "signed_sqrt": 1e-5,
-    "l2_normalize": 1e-6,
-    "bilinear_head": 1e-5,
-    "model": 1e-4,
-}
 
 
 def numerical_gradient(f, x):
@@ -101,12 +86,25 @@ def _l2_normalize(v):
 
 
 def _bilinear_head(rng, i):
+    """The feature chain, then a projection and a classifier ``Linear``; the
+    layers' own weights and biases are the last four arrays."""
+    proj, cls = Linear(9, 6, rng), Linear(6, 4, rng)
+    proj.b[...], cls.b[...] = rng.normal(size=6), rng.normal(size=4)
+
+    def forward(f1, f2, *weights):
+        u, feature_cache = bl.bilinear_features(f1, f2)
+        h, proj_cache = proj.forward(u)
+        logits, cls_cache = cls.forward(h)
+        return logits, (feature_cache, proj_cache, cls_cache)
+
+    def backward(r, cache):
+        feature_cache, proj_cache, cls_cache = cache
+        du = proj.backward(cls.backward(r, cls_cache), proj_cache)
+        return (*bl.bilinear_features_backward(du, feature_cache), proj.dw, proj.db, cls.dw, cls.db)
+
     # positive maps keep the pooled vector away from the signed-sqrt kink at zero
-    return _contracted(
-        rng, bl.bilinear_head_batch, bl.bilinear_head_backward,
-        rng.uniform(0.5, 1.5, size=(1, 3, 2, 2)), rng.uniform(0.5, 1.5, size=(1, 3, 2, 2)),
-        rng.normal(size=(9, 6)), rng.normal(size=6), rng.normal(size=(6, 4)), rng.normal(size=4),
-    )
+    return _contracted(rng, forward, backward, rng.uniform(0.5, 1.5, size=(1, 3, 2, 2)),
+                       rng.uniform(0.5, 1.5, size=(1, 3, 2, 2)), proj.w, proj.b, cls.w, cls.b)
 
 
 MODEL_DRAWS = 20
@@ -140,54 +138,55 @@ def _model(rng, i):
     return (value.reshape(-1)[j : j + 1],), objective, (grad.reshape(-1)[j : j + 1],)
 
 
-# scope -> case name -> (number of draws, draw(rng, i))
+# scope -> case name -> (number of draws, relative error tolerance, draw(rng, i))
 CASES = {
     "layers": {
-        "affine": (20, lambda rng, i: _contracted(
+        "affine": (20, 1e-6, lambda rng, i: _contracted(
             rng, ops.affine_forward, ops.affine_backward,
             rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5))),
         # kernel sizes 1, 3 and 5
-        "conv2d": (20, lambda rng, i: _contracted(
+        "conv2d": (20, 1e-6, lambda rng, i: _contracted(
             rng, ops.conv2d_forward, ops.conv2d_backward,
             rng.normal(size=(2, 2, 5, 4)), rng.normal(size=(3, 2, 1 + 2 * (i % 3), 1 + 2 * (i % 3))))),
         # even and odd extents
-        "maxpool2d": (20, lambda rng, i: _contracted(
+        "maxpool2d": (20, 1e-6, lambda rng, i: _contracted(
             rng, ops.maxpool2d_forward, ops.maxpool2d_backward, rng.normal(size=(2, 2, 6 + i % 2, 5 - i % 2)))),
-        "relu": (20, lambda rng, i: _contracted(rng, ops.relu_forward, ops.relu_backward, rng.normal(size=(4, 7)))),
-        "dropout": (20, lambda rng, i: _contracted(
+        "relu": (20, 1e-6, lambda rng, i: _contracted(rng, ops.relu_forward, ops.relu_backward, rng.normal(size=(4, 7)))),
+        "dropout": (20, 1e-6, lambda rng, i: _contracted(
             rng, lambda x: ops.dropout_forward(x, 0.5, True, [i, 3]), ops.dropout_backward,
             rng.normal(size=(5, 6)))),
     },
     "losses": {
-        "sigmoid_bce": (100, _batch_loss(sigmoid_bce_batch)),
-        "msml": (100, _batch_loss(msml_batch)),
+        "sigmoid_bce": (100, 1e-6, _batch_loss(sigmoid_bce_batch)),
+        "msml": (100, 1e-6, _batch_loss(msml_batch)),
     },
     "bilinear": {
-        "bilinear_pool": (20, lambda rng, i: _contracted(
+        "bilinear_pool": (20, 1e-6, lambda rng, i: _contracted(
             rng, lambda f1, f2: (bl.bilinear_pool_batch(f1, f2), (f1, f2)),
             lambda r, maps: bl.bilinear_pool_backward(r, *maps),
             rng.normal(size=(1, 3, 2, 2)), rng.normal(size=(1, 4, 2, 2)))),
         # away from the origin, where the epsilon smoothing is negligible
-        "signed_sqrt": (20, lambda rng, i: _contracted(
+        "signed_sqrt": (20, 1e-5, lambda rng, i: _contracted(
             rng, lambda v: (bl.signed_sqrt(v), v), bl.signed_sqrt_backward,
             rng.uniform(0.1, 2.0, size=9) * rng.choice([-1.0, 1.0], size=9))),
-        "l2_normalize": (20, lambda rng, i: _contracted(
+        "l2_normalize": (20, 1e-6, lambda rng, i: _contracted(
             rng, _l2_normalize, lambda r, cache: bl.l2_normalize_backward(r, *cache), rng.normal(size=(2, 7)))),
-        "bilinear_head": (20, _bilinear_head),
+        "bilinear_head": (20, 1e-5, _bilinear_head),
     },
-    "model": {"model": (MODEL_DRAWS, _model)},
+    "model": {"model": (MODEL_DRAWS, 1e-4, _model)},
 }
 
+TOLERANCES = {name: tol for cases in CASES.values() for name, (_, tol, _) in cases.items()}
 SCOPES = tuple(CASES)
 
 
 def check_case(scope, name, i, perturb=0.0):
     """Relative error of draw ``i`` of one case, worst over its gradient tensors."""
-    arrays, objective, grads = CASES[scope][name][1](np.random.default_rng([*name.encode(), i]), i)
+    arrays, objective, grads = CASES[scope][name][2](np.random.default_rng([*name.encode(), i]), i)
     return max(rel_error(g + perturb, numerical_gradient(objective, a)) for a, g in zip(arrays, grads))
 
 
 def run_scope(scope, perturb=0.0):
     """Case name -> worst error over the case's draws, for every case of ``scope``."""
     return {name: max(check_case(scope, name, i, perturb) for i in range(draws))
-            for name, (draws, _) in CASES[scope].items()}
+            for name, (draws, _, _) in CASES[scope].items()}

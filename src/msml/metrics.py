@@ -101,18 +101,26 @@ def roc_auc(scores, labels):
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def _class_aucs(sm: ScoreMatrix, rows):
+    """Each class c's AUC over the samples ``rows(c)`` selects, None where it is
+    undefined, and a dict from each undefined class to the reason."""
+    values, undefined = [], {}
+    for c in range(sm.num_classes):
+        keep = rows(c)
+        try:
+            values.append(roc_auc(sm.scores[keep, c], sm.labels[keep, c]))
+        except UndefinedMetricError as exc:
+            values.append(None)
+            undefined[c] = exc
+    return values, undefined
+
+
 def per_class_auc(sm: ScoreMatrix):
     """Per-class AUC list with None for undefined classes (and a warning)."""
-    values = []
-    skipped = []
-    for c in range(sm.num_classes):
-        try:
-            values.append(roc_auc(sm.scores[:, c], sm.labels[:, c]))
-        except UndefinedMetricError as exc:
-            warnings.warn(f"AUC undefined for {sm.class_names[c]} ({exc}); skipping", stacklevel=2)
-            values.append(None)
-            skipped.append(c)
-    return values, skipped
+    values, undefined = _class_aucs(sm, lambda c: slice(None))
+    for c, exc in undefined.items():
+        warnings.warn(f"AUC undefined for {sm.class_names[c]} ({exc}); skipping", stacklevel=2)
+    return values, list(undefined)
 
 
 def macro_auc(sm: ScoreMatrix):
@@ -120,10 +128,10 @@ def macro_auc(sm: ScoreMatrix):
     return _mean_defined(per_class_auc(sm)[0])
 
 
-def _mean_defined(values):
+def _mean_defined(values, undefined_why="no class has both positives and negatives"):
     defined = [v for v in values if v is not None]
     if not defined:
-        raise UndefinedMetricError("no class has both positives and negatives")
+        raise UndefinedMetricError(undefined_why)
     return float(np.mean(defined))
 
 
@@ -153,34 +161,22 @@ def _disease_vs_disease(sm: ScoreMatrix, skipped_classes):
     any_pos = sm.labels.sum(axis=1) > 0
     if not any_pos.any():
         raise UndefinedMetricError("no sample has a positive label")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        values, skipped_classes["d_auc"] = per_class_auc(
-            ScoreMatrix(sm.scores[any_pos], sm.labels[any_pos], sm.class_names))
+    values, undefined = _class_aucs(sm, lambda c: any_pos)
+    skipped_classes["d_auc"] = list(undefined)
     return _mean_defined(values)
 
 
 def _normal_vs_disease(sm: ScoreMatrix, skipped_classes):
     """Mean per-class AUC of the class's positives against strictly all-normal
-    samples. A class without positives is already in ``skipped_classes["n_auc"]``;
-    one with a non-finite score there is skipped too and added to it."""
+    samples. ``skipped_classes["n_auc"]`` already holds the classes without
+    positives; it becomes every class undefined here, adding those with a
+    non-finite score."""
     normal = sm.labels.sum(axis=1) == 0
     if not normal.any():
         raise UndefinedMetricError("no all-normal sample in the split")
-    skipped = skipped_classes["n_auc"]
-    values = []
-    for c in [c for c in range(sm.num_classes) if c not in skipped]:
-        pos = sm.labels[:, c] == 1
-        scores = np.concatenate([sm.scores[pos, c], sm.scores[normal, c]])
-        ys = np.concatenate([np.ones(int(pos.sum())), np.zeros(int(normal.sum()))])
-        try:
-            values.append(roc_auc(scores, ys))
-        except UndefinedMetricError:  # both classes are present, so a non-finite score
-            skipped.append(c)
-    skipped.sort()
-    if not values:
-        raise UndefinedMetricError("no class has positive samples and finite scores")
-    return float(np.mean(values))
+    values, undefined = _class_aucs(sm, lambda c: normal | (sm.labels[:, c] == 1))
+    skipped_classes["n_auc"] = list(undefined)
+    return _mean_defined(values, "no class has positive samples and finite scores")
 
 
 def _or_none(aggregate, compute):

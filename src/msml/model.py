@@ -136,21 +136,28 @@ def _both(pool, task_a, task_b):
 # ---------------------------------------------------------------------------
 
 class Linear:
-    def __init__(self, in_dim, out_dim, rng):
+    """A dense layer: each sample flattened, inverted dropout at ``rate`` in
+    training passes (its mask seeded by ``forward``'s ``seed``), then the affine map."""
+
+    def __init__(self, in_dim, out_dim, rng, rate=0.0):
         std = np.sqrt(2.0 / in_dim)
         self.w = rng.normal(0.0, std, size=(in_dim, out_dim))
         self.b = np.zeros(out_dim, dtype=FLOAT)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
+        self.rate = rate
 
-    def forward(self, x):
-        return ops.affine_forward(x, self.w, self.b)
+    def forward(self, x, training=False, seed=None):
+        dropped, mask = ops.dropout_forward(x.reshape(len(x), -1), self.rate, training, seed)
+        out, cache = ops.affine_forward(dropped, self.w, self.b)
+        return out, (x.shape, mask, cache)
 
     def backward(self, dout, cache):
-        dx, dw, db = ops.affine_backward(dout, cache)
+        shape, mask, affine_cache = cache
+        dx, dw, db = ops.affine_backward(dout, affine_cache)
         self.dw += dw
         self.db += db
-        return dx
+        return ops.dropout_backward(dx, mask).reshape(shape)
 
     def params(self, prefix):
         return [(f"{prefix}.w", self.w, self.dw), (f"{prefix}.b", self.b, self.db)]
@@ -287,26 +294,24 @@ class TwoStreamModel(Model):
         # bit-identical; every head draws from its own stream.
         self.stream_a = Backbone(cfg, np.random.default_rng([seed, 0]))
         self.stream_b = Backbone(cfg, np.random.default_rng([seed, 0]))
-        self.head_ce = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 1]))
-        self.head_msml = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 2]))
+        self.head_ce = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 1]), cfg.dropout_rate)
+        self.head_msml = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 2]), cfg.dropout_rate)
         self.proj = Linear(d * d, cfg.proj_width, np.random.default_rng([seed, 3]))
         self.cls = Linear(cfg.proj_width, cfg.num_classes, np.random.default_rng([seed, 4]))
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         batch = _check_batch(batch, self.cfg)
-        n = batch.shape[0]
-        rate = self.cfg.dropout_rate
         # Eval-mode passes run inline: score_fold already runs them on the pool.
         (fa, tape_a), (fb, tape_b) = _both(
             worker_pool() if training else None,
             lambda: self.stream_a.forward(batch, training), lambda: self.stream_b.forward(batch, training),
         )
-
-        drop_a, mask_a = ops.dropout_forward(fa.reshape(n, -1), rate, training, [seed, 0])
-        drop_b, mask_b = ops.dropout_forward(fb.reshape(n, -1), rate, training, [seed, 1])
-        (ce, ce_cache), (ms, msml_cache) = self.head_ce.forward(drop_a), self.head_msml.forward(drop_b)
-        fce, head_cache = bl.bilinear_head_batch(fa, fb, self.proj.w, self.proj.b, self.cls.w, self.cls.b)
-        tape = (fa.shape, tape_a, tape_b, mask_a, mask_b, ce_cache, msml_cache, head_cache) if training else None
+        ce, ce_cache = self.head_ce.forward(fa, training, [seed, 0])
+        ms, msml_cache = self.head_msml.forward(fb, training, [seed, 1])
+        u, feat_cache = bl.bilinear_features(fa, fb)
+        h, proj_cache = self.proj.forward(u)
+        fce, cls_cache = self.cls.forward(h)
+        tape = (fa.shape, tape_a, tape_b, ce_cache, msml_cache, feat_cache, proj_cache, cls_cache) if training else None
         return ForwardPass({"ce": ce, "msml": ms, "fce": fce}, tape)
 
     def backward(self, tape, grads):
@@ -315,21 +320,16 @@ class TwoStreamModel(Model):
         A head left out contributes nothing, which is how the staged training
         strategies exclude loss terms.
         """
-        shape, tape_a, tape_b, mask_a, mask_b, ce_cache, msml_cache, head_cache = tape
+        shape, tape_a, tape_b, ce_cache, msml_cache, feat_cache, proj_cache, cls_cache = tape
         d_fa = np.zeros(shape, dtype=FLOAT)
         d_fb = np.zeros(shape, dtype=FLOAT)
         if "ce" in grads:
-            d_drop = self.head_ce.backward(grads["ce"], ce_cache)
-            d_fa += ops.dropout_backward(d_drop, mask_a).reshape(shape)
+            d_fa += self.head_ce.backward(grads["ce"], ce_cache)
         if "msml" in grads:
-            d_drop = self.head_msml.backward(grads["msml"], msml_cache)
-            d_fb += ops.dropout_backward(d_drop, mask_b).reshape(shape)
+            d_fb += self.head_msml.backward(grads["msml"], msml_cache)
         if "fce" in grads:
-            g_fa, g_fb, dproj_w, dproj_b, dcls_w, dcls_b = bl.bilinear_head_backward(grads["fce"], head_cache)
-            self.proj.dw += dproj_w
-            self.proj.db += dproj_b
-            self.cls.dw += dcls_w
-            self.cls.db += dcls_b
+            du = self.proj.backward(self.cls.backward(grads["fce"], cls_cache), proj_cache)
+            g_fa, g_fb = bl.bilinear_features_backward(du, feat_cache)
             d_fa += g_fa
             d_fb += g_fb
         _both(worker_pool(), lambda: self.stream_a.backward(d_fa, tape_a),
@@ -355,23 +355,20 @@ class BaselineModel(Model):
         super().__init__(cfg)
         d, h, w = cfg.feature_shape
         self.backbone = Backbone(cfg, np.random.default_rng([seed, 0]))
-        self.head_ce = Linear(d * h * w, cfg.num_classes, np.random.default_rng([seed, 1]))
+        self.head_ce = Linear(d * h * w, cfg.num_classes, np.random.default_rng([seed, 1]), cfg.dropout_rate)
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         batch = _check_batch(batch, self.cfg)
-        n = batch.shape[0]
         fa, backbone_tape = self.backbone.forward(batch, training)
-        drop, mask = ops.dropout_forward(fa.reshape(n, -1), self.cfg.dropout_rate, training, [seed, 0])
-        ce, head_cache = self.head_ce.forward(drop)
-        tape = (fa.shape, backbone_tape, mask, head_cache) if training else None
+        ce, head_cache = self.head_ce.forward(fa, training, [seed, 0])
+        tape = (backbone_tape, head_cache) if training else None
         return ForwardPass({"ce": ce}, tape)
 
     def backward(self, tape, grads):
         if "ce" not in grads:
             return
-        shape, backbone_tape, mask, head_cache = tape
-        d_drop = self.head_ce.backward(grads["ce"], head_cache)
-        self.backbone.backward(ops.dropout_backward(d_drop, mask).reshape(shape), backbone_tape)
+        backbone_tape, head_cache = tape
+        self.backbone.backward(self.head_ce.backward(grads["ce"], head_cache), backbone_tape)
 
     def param_groups(self):
         return {"backbones": self.backbone.params("backbone"),

@@ -167,9 +167,10 @@ def relu_backward(dout, mask):
 # ---------------------------------------------------------------------------
 
 def dropout_forward(x, rate, training, rng_seed):
+    """(out, cache); an eval pass or rate 0 returns ``x`` itself and cache None."""
     x = _as_f64(x)
     if not training or rate == 0.0:
-        return x.copy(), None
+        return x, None
     keep = np.random.default_rng(rng_seed).random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     return x * keep * scale, (keep, scale)
@@ -178,7 +179,7 @@ def dropout_forward(x, rate, training, rng_seed):
 def dropout_backward(dout, cache):
     dout = _as_f64(dout)
     if cache is None:
-        return dout.copy()
+        return dout
     keep, scale = cache
     return dout * keep * scale
 

@@ -4,10 +4,16 @@ Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines
 and the experiment tables. The two training experiments (fusion ordering and
 strategy comparison) share one session-scoped set of 5-seed runs on the
 default synthetic dataset; expect the full module to take several minutes.
+The runs train side by side, one process per core.
 """
 
+import msml  # noqa: F401  # first, so a spawned worker pins OpenBLAS before numpy loads
+
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +24,7 @@ from msml.cli import main as cli_main
 from msml.gradcheck import TOLERANCES, run_scope
 from msml.losses import msml, sigmoid_bce
 from msml.metrics import ScoreMatrix, build_report, macro_auc, roc_auc
-from msml.model import BaselineModel, ModelConfig, TwoStreamModel
+from msml.model import MODELS, ModelConfig, TwoStreamModel
 from msml.train import FoldData, score_fold, train
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -48,33 +54,58 @@ def default_data():
     return {"spec": spec, "data": data, "folds_idx": folds_idx, "folds": folds}
 
 
+_worker_folds = None
+
+
+def _start_worker(folds):
+    global _worker_folds
+    os.environ["MSML_THREADS"] = "1"  # one core per run; the runs themselves fill the cores
+    _worker_folds = folds
+
+
+def _train_and_score(seed, kind, strategy):
+    """One run in a worker: its test-fold scores and its own wall seconds
+    (training and scoring)."""
+    t0 = time.perf_counter()
+    model = MODELS[kind](ModelConfig(), seed=seed)
+    train(model, _worker_folds["train"], _worker_folds["val"], strategy=strategy,
+          epochs=EXPERIMENT_EPOCHS, seed=seed)
+    return score_fold(model, _worker_folds["test"]), time.perf_counter() - t0
+
+
 @pytest.fixture(scope="session")
 def experiments(default_data):
-    """Per-seed test macro-AUC of baseline, fused, and all three strategies."""
+    """Per-seed test macro-AUC of baseline, fused, and all three strategies.
+
+    Training is bit-identical at any thread count, so the independent runs
+    train side by side, one single-threaded worker per core, and give the
+    AUCs they give one after another. The pool spawns its workers: the
+    parent's threads and OpenBLAS are already started, so a fork is not safe.
+    ``ordering_seconds`` sums the baseline and ``global`` runs' own wall times.
+    """
     folds = default_data["folds"]
     test = folds["test"]
 
     def test_auc(scores):
         return macro_auc(ScoreMatrix(scores, test.labels))
 
+    jobs = [(seed, "two_stream", strategy) for seed in SEEDS for strategy in ("global", "local", "local_fixed")]
+    jobs += [(seed, "baseline", "global") for seed in SEEDS]
+    with ProcessPoolExecutor(min(len(jobs), os.cpu_count() or 1), multiprocessing.get_context("spawn"),
+                             initializer=_start_worker, initargs=(folds,)) as pool:
+        runs = dict(zip(jobs, pool.map(_train_and_score, *zip(*jobs))))
+
     rows = {}
     ordering_seconds = 0.0
     for seed in SEEDS:
-        t0 = time.perf_counter()
-        baseline = BaselineModel(ModelConfig(), seed=seed)
-        train(baseline, folds["train"], folds["val"], strategy="global",
-              epochs=EXPERIMENT_EPOCHS, seed=seed)
-        base_scores = score_fold(baseline, test)
+        base_scores, base_seconds = runs[seed, "baseline", "global"]
         row = {"baseline": test_auc(base_scores["ce"])}
         for strategy in ("global", "local", "local_fixed"):
-            model = TwoStreamModel(ModelConfig(), seed=seed)
-            train(model, folds["train"], folds["val"], strategy=strategy,
-                  epochs=EXPERIMENT_EPOCHS, seed=seed)
-            scores = score_fold(model, test)
+            scores, seconds = runs[seed, "two_stream", strategy]
             row[strategy] = test_auc(scores["fce"])
             if strategy == "global":
                 row["fused"] = test_auc((base_scores["ce"] + scores["fce"]) / 2.0)
-                ordering_seconds += time.perf_counter() - t0
+                ordering_seconds += base_seconds + seconds
         rows[seed] = row
         print(f"\nseed {seed}: " + "  ".join(f"{k}={v:.4f}" for k, v in row.items()))
     return {"rows": rows, "ordering_seconds": ordering_seconds}

@@ -1,6 +1,8 @@
 """Generator, split, normalization, crop, and storage tests."""
 
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -298,6 +300,40 @@ class TestStorage:
         with pytest.raises(OSError, match="rename refused"):
             ds.save(ds.generate(small_spec(num_samples=5)), tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_two_writers_each_rename_a_whole_file(self, tmp_path, monkeypatch):
+        # Writer A is held between its write and its rename while writer B runs whole.
+        target, held, errors = tmp_path / "out", threading.Barrier(2, timeout=30), []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if threading.current_thread() is writer_a:
+                held.wait()  # A's temp file is written
+                held.wait()  # B has finished
+            real_replace(src, dst)
+
+        def write_a():
+            try:
+                ds.write_atomic(target, b"a" * 1000)
+            except OSError as exc:
+                errors.append(exc)
+
+        monkeypatch.setattr(ds.os, "replace", replace)
+        writer_a = threading.Thread(target=write_a)
+        writer_a.start()
+        held.wait()
+        ds.write_atomic(target, b"b" * 10)
+        assert target.read_bytes() == b"b" * 10
+        held.wait()
+        writer_a.join(timeout=30)
+        assert not writer_a.is_alive() and errors == []
+        assert target.read_bytes() == b"a" * 1000
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_written_file_has_the_mode_of_a_plain_open(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"")
+        ds.write_atomic(tmp_path / "atomic", b"x")
+        assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
     def test_save_makes_no_copy_of_the_pixels(self, tmp_path):
         data = ds.generate(small_spec(num_samples=2000, num_groups=100))

@@ -248,6 +248,13 @@ class TestDropout:
             acc += out
         np.testing.assert_allclose(acc / draws, x, rtol=0.05)
 
+    def test_identity_passes_return_their_input(self):
+        x = np.arange(6.0).reshape(2, 3)
+        for rate, training in ((0.5, False), (0.0, True)):
+            out, cache = ops.dropout_forward(x, rate, training, 1)
+            assert out is x and cache is None
+        assert ops.dropout_backward(x, None) is x
+
     def test_gradient_uses_same_mask(self):
         x = np.arange(12.0).reshape(3, 4) + 1.0
         out, cache = ops.dropout_forward(x, 0.5, True, 7)
