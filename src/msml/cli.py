@@ -92,7 +92,7 @@ def load_folds(data_dir, names=None):
     for name in ("train", *names):
         if name not in folds_idx:
             raise DataError(f"{data_dir / 'splits.json'} has no fold {name!r}")
-    labels = {name: data.labels[folds_idx[name]].astype(np.float64) for name in names}
+    labels = {name: data.labels[folds_idx[name]] for name in names}
     pixels = {name: data.images[folds_idx[name]] for name in ("train", *names)}  # float32, each fold once
     class_names = data.class_names
     # Only the folds' gathers are needed from here on: drop the dataset's
@@ -150,7 +150,7 @@ def cmd_eval(args) -> int:
     except DataError as exc:
         raise DataError(f"split {args.split!r}: {exc}") from exc
     chosen = sum(scores[head] for head in needed) / len(needed)
-    report = build_report(ScoreMatrix(chosen, fold.labels.astype(np.int8), class_names))
+    report = build_report(ScoreMatrix(chosen, fold.labels, class_names))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ds.write_atomic(out, report.to_json() + "\n")

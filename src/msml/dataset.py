@@ -70,8 +70,9 @@ class GeneratorSpec:
         for a, b, boost in self.cooccurrence_pairs:
             if not (0 <= a < self.num_classes and 0 <= b < self.num_classes):
                 raise ConfigError(f"co-occurrence pair ({a}, {b}) out of class range")
-            if boost < 0 or self.class_prevalence[b] + boost > 1.0:
-                raise ConfigError(f"boost {boost} pushes class {b} probability above 1")
+            p = self.class_prevalence[b]
+            if not (0 <= boost and p + boost <= 1.0):  # written so that a NaN boost fails
+                raise ConfigError(f"co-occurrence pair ({a}, {b}) boost {boost} outside [0, {1 - p:g}]")
         if len(self.image_size) != 2:
             raise ConfigError(f"image_size needs two values, got {self.image_size}")
         if min(self.image_size) < 8 or self.channels < 1:
@@ -341,6 +342,8 @@ def load(directory) -> Dataset:
     group_ids = np.zeros(n, dtype=np.int64)
     for r, row in enumerate(body):
         try:
+            if int(row[0]) != r:
+                raise ValueError(f"sample_id {row[0]} is not the row's index {r}")
             group_ids[r] = int(row[1])
             values = [int(v) for v in row[2:]]
             if not set(values) <= {0, 1}:

@@ -59,7 +59,7 @@ HISTORY_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
 @dataclass
 class FoldData:
-    """One fold's normalized images (N, ch, H, W) and labels (N, C)."""
+    """One fold's normalized images (N, ch, H, W) and int8 0/1 labels (N, C)."""
 
     images: np.ndarray
     labels: np.ndarray

@@ -94,6 +94,13 @@ class TestGenData:
         assert new.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_nan_cooccurrence_boost_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(SPEC_TEXT.replace("cooccurrence_pairs =", "cooccurrence_pairs = 0:1:nan"))
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(tmp_path / "x")]) == 2
+        assert "pair (0, 1) boost nan" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_spec_exits_2(self, tmp_path):
         assert main(["gen-data", "--spec", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -250,7 +257,7 @@ class TestEval:
         folds, class_names = cli_mod.load_folds(data_dir)
         scores = score_fold(model, folds["test"])
         expected = build_report(
-            ScoreMatrix(scores["fce"], folds["test"].labels.astype(np.int8), class_names)
+            ScoreMatrix(scores["fce"], folds["test"].labels, class_names)
         )
         assert report == expected
 
@@ -273,7 +280,7 @@ class TestEval:
         scores = score_fold(model, folds["test"])
         fused = (scores["ce"] + scores["fce"]) / 2
         expected = build_report(
-            ScoreMatrix(fused, folds["test"].labels.astype(np.int8), class_names)
+            ScoreMatrix(fused, folds["test"].labels, class_names)
         )
         assert out.read_text() == expected.to_json() + "\n"
 
@@ -283,7 +290,7 @@ class TestEval:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
 
-    @pytest.mark.parametrize("damage", ["label-2", "index-in-two-folds", "empty-test-fold",
+    @pytest.mark.parametrize("damage", ["label-2", "sample-id", "index-in-two-folds", "empty-test-fold",
                                         "no-test-fold", "no-train-fold"])
     def test_corrupt_dataset_exits_2(self, data_dir, trained_dir, tmp_path, capsys, damage):
         copy = tmp_path / "data"
@@ -291,6 +298,10 @@ class TestEval:
         if damage == "label-2":
             lines = (copy / "labels.csv").read_text().splitlines()
             lines[1] = lines[1][: lines[1].rindex(",")] + ",2"
+            (copy / "labels.csv").write_text("\n".join(lines) + "\n")
+        elif damage == "sample-id":
+            lines = (copy / "labels.csv").read_text().splitlines()
+            lines[2] = "banana" + lines[2][lines[2].index(","):]
             (copy / "labels.csv").write_text("\n".join(lines) + "\n")
         else:
             folds = json.loads((copy / "splits.json").read_text())
@@ -305,7 +316,7 @@ class TestEval:
                      "--data", str(copy), "--out", str(tmp_path / "r.json")])
         assert code == 2
         err = capsys.readouterr().err
-        assert {"label-2": "row 2", "no-train-fold": "no fold 'train'"}.get(damage, "'test'") in err
+        assert {"label-2": "row 2", "sample-id": "row 3", "no-train-fold": "no fold 'train'"}.get(damage, "'test'") in err
         assert not (tmp_path / "r.json").exists()
 
     def test_loads_only_the_scored_split(self, data_dir):
@@ -315,6 +326,10 @@ class TestEval:
         assert same_names == names
         np.testing.assert_array_equal(only["test"].images, every["test"].images)
         np.testing.assert_array_equal(only["test"].labels, every["test"].labels)
+
+    def test_labels_stay_int8(self, data_dir):
+        folds, _ = cli_mod.load_folds(data_dir)
+        assert {fold.labels.dtype for fold in folds.values()} == {np.dtype(np.int8)}
 
     def test_scoring_a_split_holds_the_pixels_and_the_train_fold_once(self, tmp_path):
         data = ds.generate(ds.GeneratorSpec(num_samples=2000, seed=5))

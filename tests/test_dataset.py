@@ -108,6 +108,8 @@ class TestGenerate:
             ds.GeneratorSpec(normal_fraction=1.5).validate()
         with pytest.raises(ConfigError):
             ds.GeneratorSpec(cooccurrence_pairs=((0, 1, 0.9),)).validate()
+        with pytest.raises(ConfigError, match=r"pair \(0, 1\) boost nan outside \[0, "):
+            ds.GeneratorSpec(cooccurrence_pairs=((0, 1, float("nan")),)).validate()
 
 
 class TestTemplates:
@@ -369,6 +371,15 @@ class TestStorage:
         lines[4] = ",".join(fields)
         (tmp_path / "labels.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="row 5 .*0 or 1"):
+            ds.load(tmp_path)
+
+    @pytest.mark.parametrize("sample_id", ["7", "banana", ""])
+    def test_sample_id_other_than_the_row_index_names_the_row(self, tmp_path, sample_id):
+        ds.save(ds.generate(small_spec(num_samples=10)), tmp_path)
+        lines = (tmp_path / "labels.csv").read_text().splitlines()
+        lines[3] = sample_id + lines[3][lines[3].index(","):]
+        (tmp_path / "labels.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="row 4 malformed"):
             ds.load(tmp_path)
 
     def test_non_utf8_labels_name_the_offset(self, tmp_path):

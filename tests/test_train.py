@@ -194,6 +194,17 @@ class TestThreadPolicy:
         assert self.blas_threads_seen_by_msml("3") == "3"
 
 
+def test_package_root_binds_only_its_version_and_loads_no_numpy():
+    # names come from their modules; the root only pins OpenBLAS before numpy loads
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(msml.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, msml; "
+            "print(sorted(n for n in vars(msml) if not n.startswith('_')), msml.__version__, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.strip() == f"[] {msml.__version__} False"
+
+
 class TestSymmetryBreaking:
     def test_streams_diverge_after_one_global_epoch(self, folds):
         model = TwoStreamModel(CFG, seed=6)
