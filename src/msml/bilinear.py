@@ -5,8 +5,9 @@ location, averaged over locations and vectorized row-major; then elementwise
 signed square root; then L2 normalization. The model's projection (the 1x1-conv
 equivalent on a pooled vector) and classifier are ``model.Linear`` layers.
 
-Every function takes a batch: (N, d, H, W) maps or (N, D) vectors. Backward
-passes mirror the forwards exactly.
+Every function takes a batch of float64 arrays: (N, d, H, W) maps or (N, D)
+vectors. As in ``ops``, a forward returns ``(out, cache)`` and its backward
+takes ``(dout, cache)``; backward passes mirror the forwards exactly.
 """
 
 from __future__ import annotations
@@ -15,16 +16,12 @@ import numpy as np
 
 from .errors import DimensionError
 
-FLOAT = np.float64
-
 SIGNED_SQRT_EPS = 1e-8
 L2_NORM_EPS = 1e-12
 
 
 def bilinear_pool_batch(f1, f2):
-    """Average over locations of vec(f1_{ij} outer f2_{ij}), row-major, per sample."""
-    f1 = np.asarray(f1, dtype=FLOAT)
-    f2 = np.asarray(f2, dtype=FLOAT)
+    """Average over locations of vec(f1_{ij} outer f2_{ij}), row-major, per sample, as (pooled, (f1, f2))."""
     if f1.ndim != 4 or f2.ndim != 4:
         raise DimensionError(f"bilinear_pool expects (N, d, H, W) maps, got {f1.shape} and {f2.shape}")
     if f1.shape[0] != f2.shape[0] or f1.shape[2:] != f2.shape[2:]:
@@ -33,43 +30,41 @@ def bilinear_pool_batch(f1, f2):
     d2 = f2.shape[1]
     hw = f1.shape[2] * f1.shape[3]
     prod = np.einsum("nahw,nbhw->nab", f1, f2) / hw
-    return prod.reshape(n, d1 * d2)
+    return prod.reshape(n, d1 * d2), (f1, f2)
 
 
-def bilinear_pool_backward(dout, f1, f2):
-    """Gradients w.r.t. both maps given dLoss/dpooled of shape (N, d1*d2)."""
+def bilinear_pool_backward(dout, cache):
+    """Gradients (df1, df2) w.r.t. both maps given dLoss/dpooled of shape (N, d1*d2)."""
+    f1, f2 = cache
     n, d1 = f1.shape[:2]
     d2 = f2.shape[1]
     hw = f1.shape[2] * f1.shape[3]
-    dv = np.asarray(dout, dtype=FLOAT).reshape(n, d1, d2) / hw
+    dv = dout.reshape(n, d1, d2) / hw
     df1 = np.einsum("nab,nbhw->nahw", dv, f2)
     df2 = np.einsum("nab,nahw->nbhw", dv, f1)
     return df1, df2
 
 
 def signed_sqrt(v):
-    """sign(v) * sqrt(|v|) elementwise."""
-    v = np.asarray(v, dtype=FLOAT)
-    return np.sign(v) * np.sqrt(np.abs(v))
+    """sign(v) * sqrt(|v|) elementwise, as (out, v)."""
+    return np.sign(v) * np.sqrt(np.abs(v)), v
 
 
 def signed_sqrt_backward(dout, v):
     # True derivative 1 / (2 sqrt|v|) is unbounded at 0; the epsilon keeps it
     # finite there while staying within 1e-8 of exact elsewhere.
-    v = np.asarray(v, dtype=FLOAT)
-    return np.asarray(dout, dtype=FLOAT) / (2.0 * np.sqrt(np.abs(v)) + SIGNED_SQRT_EPS)
+    return dout / (2.0 * np.sqrt(np.abs(v)) + SIGNED_SQRT_EPS)
 
 
 def l2_normalize_batch(v):
-    """Each row v / max(||v||_2, eps), with the norms; a zero row maps to itself."""
-    v = np.asarray(v, dtype=FLOAT)
+    """Each row v / max(||v||_2, eps), as (u, (v, norms)); a zero row maps to itself."""
     norms = np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), L2_NORM_EPS)
-    return v / norms, norms
+    return v / norms, (v, norms)
 
 
-def l2_normalize_backward(dout, v, norms):
+def l2_normalize_backward(dout, cache):
     """Jacobian (I - u u^T) / ||v|| applied row-wise, with u = v / ||v||."""
-    dout = np.asarray(dout, dtype=FLOAT)
+    v, norms = cache
     u = v / norms
     proj = np.sum(u * dout, axis=-1, keepdims=True)
     return (dout - u * proj) / norms
@@ -78,14 +73,14 @@ def l2_normalize_backward(dout, v, norms):
 def bilinear_features(f1, f2):
     """The feature chain pool -> signed sqrt -> l2 norm, as (u, cache); the cache
     feeds ``bilinear_features_backward``."""
-    v = bilinear_pool_batch(f1, f2)
-    s = signed_sqrt(v)
-    u, norms = l2_normalize_batch(s)
-    return u, (f1, f2, v, s, norms)
+    v, pool_cache = bilinear_pool_batch(f1, f2)
+    s, sqrt_cache = signed_sqrt(v)
+    u, norm_cache = l2_normalize_batch(s)
+    return u, (pool_cache, sqrt_cache, norm_cache)
 
 
 def bilinear_features_backward(du, cache):
     """Returns (df1, df2)."""
-    f1, f2, v, s, norms = cache
-    ds = l2_normalize_backward(du, s, norms)
-    return bilinear_pool_backward(signed_sqrt_backward(ds, v), f1, f2)
+    pool_cache, sqrt_cache, norm_cache = cache
+    ds = l2_normalize_backward(du, norm_cache)
+    return bilinear_pool_backward(signed_sqrt_backward(ds, sqrt_cache), pool_cache)

@@ -109,10 +109,9 @@ def load_folds(data_dir, names=None):
 def cmd_gen_data(args) -> int:
     spec = ds.parse_fields(ds.GeneratorSpec, Path(args.spec).read_text())
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data = ds.generate(spec)
-    ds.save(data, out_dir)
     folds = ds.split(data, spec.seed)
+    ds.save(data, out_dir)
     ds.save_splits(folds, out_dir / "splits.json")
     ds.write_atomic(out_dir / "manifest.txt", ds.format_fields(spec))
     print(f"wrote {len(data)} samples to {out_dir}")

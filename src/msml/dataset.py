@@ -68,8 +68,8 @@ class GeneratorSpec:
         if not 0 <= self.noise_sigma < np.inf:
             raise ConfigError(f"noise_sigma {self.noise_sigma} must be finite and nonnegative")
         for a, b, boost in self.cooccurrence_pairs:
-            if not (0 <= a < self.num_classes and 0 <= b < self.num_classes):
-                raise ConfigError(f"co-occurrence pair ({a}, {b}) out of class range")
+            if not (0 <= a < self.num_classes and 0 <= b < self.num_classes) or a == b:
+                raise ConfigError(f"co-occurrence pair ({a}, {b}) needs two distinct classes in [0, {self.num_classes})")
             p = self.class_prevalence[b]
             if not (0 <= boost and p + boost <= 1.0):  # written so that a NaN boost fails
                 raise ConfigError(f"co-occurrence pair ({a}, {b}) boost {boost} outside [0, {1 - p:g}]")
@@ -175,16 +175,13 @@ def split(dataset: Dataset, seed: int):
     order = np.random.default_rng(seed).permutation(groups)
     n_train = round(SPLIT_FRACTIONS[0] * groups.size)
     n_val = round(SPLIT_FRACTIONS[1] * groups.size)
+    # at >= 10 groups val gets round(0.1 g) >= 1 of them and test >= 0.2 g - 1 >= 1: no fold is empty
     fold_groups = {
         "train": order[:n_train],
         "val": order[n_train : n_train + n_val],
         "test": order[n_train + n_val :],
     }
-    folds = {name: np.flatnonzero(np.isin(dataset.group_ids, ids)) for name, ids in fold_groups.items()}
-    for name, idx in folds.items():
-        if idx.size == 0:
-            raise DataError(f"split produced an empty {name} fold")
-    return folds
+    return {name: np.flatnonzero(np.isin(dataset.group_ids, ids)) for name, ids in fold_groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +224,6 @@ def normalize(images_by_fold: dict, train_images):
 def crop_batch(images, out_size, training, rng=None):
     """Crop a batch to ``out_size``, an (height, width) pair or one int for a
     square, with per-sample random offsets (training) or centered (eval)."""
-    images = np.asarray(images)
     n = images.shape[0]
     h, w = images.shape[-2:]
     oh, ow = (out_size, out_size) if np.ndim(out_size) == 0 else out_size

@@ -13,10 +13,6 @@ class DimensionError(MsmlError, ValueError):
         return cls(f"{what}: got shape {tuple(got)}, expected {tuple(expected)}")
 
 
-class ParameterError(MsmlError, ValueError):
-    """A scalar parameter is outside its valid range."""
-
-
 class ConfigError(MsmlError, ValueError):
     """A configuration (backbone, generator spec, experiment) is inconsistent."""
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bilinear as bl
 from . import ops
-from .losses import LossWeights, msml_batch, sigmoid_bce_batch, total_loss
+from .losses import LossWeights, msml_batch, sigmoid_bce_batch
 from .model import Linear, ModelConfig, TwoStreamModel
 from .train import _losses_and_grads, _phases
 
@@ -50,8 +50,6 @@ def numerical_gradient(f, x):
 
 
 def rel_error(analytic, numeric):
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-8)
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
@@ -78,11 +76,6 @@ def _batch_loss(loss):
         return (x,), lambda: loss(x, y)[0], (loss(x, y)[1],)
 
     return draw
-
-
-def _l2_normalize(v):
-    u, norms = bl.l2_normalize_batch(v)
-    return u, (v, norms)
 
 
 def _bilinear_head(rng, i):
@@ -118,19 +111,19 @@ _MODEL_CFG = ModelConfig(
 
 def _model(rng, i):
     """Composite-loss gradient of a training pass at one random parameter coordinate:
-    the head gradients the ``global`` phase's weights give, against ``total_loss``.
+    the head gradients the ``global`` phase's weights give, against the losses summed at those weights.
     The first half of the draws run without dropout, the rest with dropout mask seed ``i``."""
     cfg = _MODEL_CFG if i >= MODEL_DRAWS // 2 else dataclasses.replace(_MODEL_CFG, dropout_rate=0.0)
     model = TwoStreamModel(cfg, seed=4)
     batch = rng.normal(size=(2, 1, 8, 8))
     labels = rng.integers(0, 2, size=(2, 4))
-    w = LossWeights()
+    weights = _phases("global", 1, model, LossWeights())[0][1]
     out = model.forward(batch, training=True, seed=i)
-    model.backward(out.tape, _losses_and_grads(out, labels, _phases("global", 1, model, w)[0][1])[1])
+    model.backward(out.tape, _losses_and_grads(out, labels, weights)[1])
 
     def objective():
         losses, _ = _losses_and_grads(model.forward(batch, True, i), labels, {})
-        return total_loss(losses["ce"], losses["msml"], losses["fce"], w)
+        return sum(weights[h] * losses[h] for h in weights)
 
     params = model.params()
     _, value, grad = params[int(rng.integers(len(params)))]
@@ -162,15 +155,14 @@ CASES = {
     },
     "bilinear": {
         "bilinear_pool": (20, 1e-6, lambda rng, i: _contracted(
-            rng, lambda f1, f2: (bl.bilinear_pool_batch(f1, f2), (f1, f2)),
-            lambda r, maps: bl.bilinear_pool_backward(r, *maps),
+            rng, bl.bilinear_pool_batch, bl.bilinear_pool_backward,
             rng.normal(size=(1, 3, 2, 2)), rng.normal(size=(1, 4, 2, 2)))),
         # away from the origin, where the epsilon smoothing is negligible
         "signed_sqrt": (20, 1e-5, lambda rng, i: _contracted(
-            rng, lambda v: (bl.signed_sqrt(v), v), bl.signed_sqrt_backward,
+            rng, bl.signed_sqrt, bl.signed_sqrt_backward,
             rng.uniform(0.1, 2.0, size=9) * rng.choice([-1.0, 1.0], size=9))),
         "l2_normalize": (20, 1e-6, lambda rng, i: _contracted(
-            rng, _l2_normalize, lambda r, cache: bl.l2_normalize_backward(r, *cache), rng.normal(size=(2, 7)))),
+            rng, bl.l2_normalize_batch, bl.l2_normalize_backward, rng.normal(size=(2, 7)))),
         "bilinear_head": (20, 1e-5, _bilinear_head),
     },
     "model": {"model": (MODEL_DRAWS, 1e-4, _model)},

@@ -1,13 +1,12 @@
 """Loss functions for multi-label classification.
 
-Three pieces:
+Two pieces:
 
 * ``sigmoid_bce`` - per-class sigmoid binary cross-entropy summed over
   classes, with the classic logit-space gradient z_c - y_c.
 * ``msml`` - the multi-label softmax loss: for each positive class, a softmax
   restricted to that positive against all negative classes; the loss is the
   mean negative log of those restricted probabilities.
-* ``total_loss`` - the weighted composite alpha * (msml + ce) + beta * fce.
 
 The ``*_batch`` variants take (N, C) arrays and return the mean loss with
 the gradient of that mean; the per-sample functions are views of them on a
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ConfigError, DimensionError
 from .ops import sigmoid
 
 FLOAT = np.float64
@@ -28,7 +27,7 @@ FLOAT = np.float64
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the composite objective. Defaults follow the training recipe."""
+    """Weights of the composite objective alpha * (msml + ce) + beta * fce; defaults follow the training recipe."""
 
     alpha: float = 0.2
     beta: float = 0.6
@@ -36,7 +35,7 @@ class LossWeights:
     def __post_init__(self):
         for key in ("alpha", "beta"):
             if not 0.0 <= getattr(self, key) < np.inf:
-                raise ParameterError(f"loss weight {key} must be finite and nonnegative, got {self}")
+                raise ConfigError(f"loss weight {key} must be finite and nonnegative, got {self}")
 
 
 def _check_pair(logits, labels):
@@ -62,14 +61,6 @@ def msml(logits, labels):
     """Multi-label softmax loss of one sample; see ``msml_batch``."""
     loss, grad = msml_batch(np.asarray(logits)[None], np.asarray(labels)[None])
     return loss, grad[0]
-
-
-def total_loss(ce, msml_value, fce, weights=LossWeights()):
-    """Composite objective alpha * (msml + ce) + beta * fce."""
-    for name, v in (("ce", ce), ("msml", msml_value), ("fce", fce)):
-        if not np.isfinite(v):
-            raise ParameterError(f"total_loss got non-finite {name}={v}")
-    return weights.alpha * (msml_value + ce) + weights.beta * fce
 
 
 def sigmoid_bce_batch(logits, labels):

@@ -68,7 +68,6 @@ def _average_ranks(values):
     A run of equal values in stable sorted order spans ranks start+1..end and
     gets their mean; each NaN is a run of its own, placed last in input order.
     """
-    values = np.asarray(values, dtype=FLOAT)
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])

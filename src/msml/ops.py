@@ -17,18 +17,12 @@ from .errors import DimensionError
 
 FLOAT = np.float64
 
-
-def _as_f64(x):
-    return np.asarray(x, dtype=FLOAT)
-
-
 # ---------------------------------------------------------------------------
 # affine
 # ---------------------------------------------------------------------------
 
 def affine_forward(x, w, b):
     """out[n, j] = sum_i x[n, i] * w[i, j] + b[j]."""
-    x, w, b = _as_f64(x), _as_f64(w), _as_f64(b)
     if x.ndim != 2 or w.ndim != 2:
         raise DimensionError(f"affine expects 2-d input and weight, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
@@ -40,7 +34,6 @@ def affine_forward(x, w, b):
 
 def affine_backward(dout, cache):
     x, w = cache
-    dout = _as_f64(dout)
     dx = dout @ w.T
     dw = x.T @ dout
     db = dout.sum(axis=0)
@@ -65,7 +58,6 @@ def conv2d_forward(x, kernel):
     by shape and batch-last in memory (the batch axis has the smallest stride).
     ``conv2d_backward`` scatters through the same blocks.
     """
-    x, kernel = _as_f64(x), _as_f64(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
     n, c_in, h, w = x.shape
@@ -94,7 +86,7 @@ def conv2d_backward(dout, cache, input_grad=True):
     cols, kernel, (n, c_in, h, w) = cache
     c_out, _, k, _ = kernel.shape
     pad = k // 2
-    dmat = _as_f64(dout).transpose(1, 2, 3, 0).reshape(c_out, h * w * n)
+    dmat = dout.transpose(1, 2, 3, 0).reshape(c_out, h * w * n)
     # The batch sum runs inside the product. Panels of _DK_PANEL columns keep a
     # long product (block 1: 12,544 columns) in cache, and cost nothing otherwise.
     dk = dmat[:, :_DK_PANEL] @ cols[:, :_DK_PANEL].T
@@ -120,7 +112,6 @@ def _pool_views(x):
 
 def maxpool2d(x):
     """The maxima of a 2x2 max-pool with stride 2, in x's memory order."""
-    x = _as_f64(x)
     if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
         raise DimensionError(f"maxpool2d expects 4-d input of at least 2x2, got {x.shape}")
     views = _pool_views(x)
@@ -129,7 +120,6 @@ def maxpool2d(x):
 
 def maxpool2d_forward(x):
     """2x2 max-pool with stride 2. Ties route to the first maximum in row-major order."""
-    x = _as_f64(x)
     out = maxpool2d(x)
     taken = np.zeros_like(out, dtype=bool)  # the masks keep x's memory order
     masks = []
@@ -141,7 +131,6 @@ def maxpool2d_forward(x):
 
 def maxpool2d_backward(dout, cache):
     masks, x_shape = cache
-    dout = _as_f64(dout)
     dx = np.zeros_like(dout, shape=x_shape)  # in dout's memory order
     for view, mask in zip(_pool_views(dx), masks):
         np.multiply(dout, mask, out=view)
@@ -153,13 +142,12 @@ def maxpool2d_backward(dout, cache):
 # ---------------------------------------------------------------------------
 
 def relu_forward(x):
-    x = _as_f64(x)
     out = np.maximum(x, 0.0)
     return out, x > 0  # subgradient at 0 is 0
 
 
 def relu_backward(dout, mask):
-    return _as_f64(dout) * mask
+    return dout * mask
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +156,6 @@ def relu_backward(dout, mask):
 
 def dropout_forward(x, rate, training, rng_seed):
     """(out, cache); an eval pass or rate 0 returns ``x`` itself and cache None."""
-    x = _as_f64(x)
     if not training or rate == 0.0:
         return x, None
     keep = np.random.default_rng(rng_seed).random(x.shape) >= rate
@@ -177,7 +164,6 @@ def dropout_forward(x, rate, training, rng_seed):
 
 
 def dropout_backward(dout, cache):
-    dout = _as_f64(dout)
     if cache is None:
         return dout
     keep, scale = cache
@@ -190,6 +176,5 @@ def dropout_backward(dout, cache):
 
 def sigmoid(x):
     """Numerically stable logistic function; never overflows for large |x|."""
-    x = _as_f64(x)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -101,6 +101,13 @@ class TestGenData:
         assert "pair (0, 1) boost nan" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_too_few_groups_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(SPEC_TEXT.replace("num_groups = 15", "num_groups = 5"))
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(tmp_path / "x")]) == 2
+        assert "grouped split needs >= 10 groups, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_spec_exits_2(self, tmp_path):
         assert main(["gen-data", "--spec", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x")]) == 2

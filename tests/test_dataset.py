@@ -111,6 +111,12 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=r"pair \(0, 1\) boost nan outside \[0, "):
             ds.GeneratorSpec(cooccurrence_pairs=((0, 1, float("nan")),)).validate()
 
+    @pytest.mark.parametrize("a,b", [(2, 2), (0, 8), (-1, 3)])
+    def test_cooccurrence_pair_needs_two_distinct_classes_in_range(self, a, b):
+        # a pair of one class can never act: its boost fires only where the class is already positive
+        with pytest.raises(ConfigError, match=rf"pair \({a}, {b}\) needs two distinct classes in \[0, 8\)"):
+            ds.GeneratorSpec(cooccurrence_pairs=((a, b, 0.1),)).validate()
+
 
 class TestTemplates:
     def test_distinct_per_class(self):
@@ -155,6 +161,17 @@ class TestSplit:
         b = ds.split(data, 9)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+    def test_every_group_count_from_ten_gives_three_nonempty_disjoint_folds(self):
+        rng = np.random.default_rng(12)
+        for g in range(10, 301):
+            group_ids = rng.permutation(np.repeat(np.arange(g), rng.integers(1, 4, size=g)))
+            data = ds.Dataset(np.zeros((group_ids.size, 1, 8, 8), np.float32),
+                              np.zeros((group_ids.size, 1), np.int8), group_ids, ["class_0"])
+            folds = ds.split(data, g)
+            assert all(idx.size > 0 for idx in folds.values()), g
+            merged = np.sort(np.concatenate(list(folds.values())))
+            np.testing.assert_array_equal(merged, np.arange(group_ids.size))
 
     def test_too_few_groups(self):
         data = ds.generate(small_spec(num_groups=5))

@@ -33,6 +33,7 @@ words = (
 def generator_specs(draw):
     k = draw(st.integers(1, 6))
     classes = st.integers(0, k - 1)
+    pair = st.tuples(classes, classes, floats(0.0, 0.5)).filter(lambda p: p[0] != p[1])  # two distinct classes
     return ds.GeneratorSpec(
         num_classes=k,
         num_samples=draw(st.integers(1, 10**6)),
@@ -40,7 +41,7 @@ def generator_specs(draw):
         image_size=(draw(st.integers(8, 512)), draw(st.integers(8, 512))),
         channels=draw(st.integers(1, 4)),
         class_prevalence=tuple(draw(st.lists(floats(1e-6, 0.5), min_size=k, max_size=k))),
-        cooccurrence_pairs=tuple(draw(st.lists(st.tuples(classes, classes, floats(0.0, 0.5)), max_size=3))),
+        cooccurrence_pairs=tuple(draw(st.lists(pair, max_size=3 if k > 1 else 0))),
         normal_fraction=draw(floats(0.0, 1.0)),
         noise_sigma=draw(floats(0.0, 10.0)),
         seed=draw(st.integers(0, 2**63)),

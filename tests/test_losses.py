@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import loop_msml
-from msml.errors import DimensionError, ParameterError
+from msml.errors import ConfigError, DimensionError
 from msml.gradcheck import TOLERANCES, check_case
-from msml.losses import LossWeights, msml, msml_batch, sigmoid_bce, sigmoid_bce_batch, total_loss
+from msml.losses import LossWeights, msml, msml_batch, sigmoid_bce, sigmoid_bce_batch
+from msml.model import ModelConfig, TwoStreamModel
 from msml.ops import sigmoid
+from msml.train import _phases
 
 
 def random_case(seed, c_min=2, c_max=12):
@@ -136,27 +138,38 @@ class TestMsml:
             msml([0.0], [1, 0])
 
 
+def global_weights(weights):
+    """The head -> weight table a two-stream ``global`` run trains with."""
+    model = TwoStreamModel(ModelConfig(num_classes=2, conv_blocks=((2, 1, True),), proj_width=2), seed=0)
+    return _phases("global", 1, model, weights)[0][1]
+
+
 class TestTotalLoss:
+    """The composite alpha * (msml + ce) + beta * fce is written once, as the
+    weights ``train._phases`` gives the heads."""
+
     def test_weighted_sum(self):
-        assert total_loss(1.0, 1.0, 1.0, LossWeights(0.2, 0.6)) == pytest.approx(1.0)
+        w = global_weights(LossWeights(0.2, 0.6))
+        assert w == {"ce": 0.2, "msml": 0.2, "fce": 0.6}
+        assert sum(w[h] * 1.0 for h in w) == pytest.approx(1.0)
 
     def test_zero(self):
-        assert total_loss(0.0, 0.0, 0.0, LossWeights(0.9, 0.4)) == 0.0
+        w = global_weights(LossWeights(0.9, 0.4))
+        assert w == {"ce": 0.9, "msml": 0.9, "fce": 0.4}
+        assert sum(w[h] * 0.0 for h in w) == 0.0
 
     def test_ce_only(self):
-        assert total_loss(1.0, 0.0, 0.0, LossWeights(0.2, 0.6)) == pytest.approx(0.2)
+        w = global_weights(LossWeights(0.2, 0.6))
+        losses = {"ce": 1.0, "msml": 0.0, "fce": 0.0}
+        assert sum(w[h] * losses[h] for h in w) == pytest.approx(0.2)
 
     def test_default_weights(self):
         w = LossWeights()
         assert (w.alpha, w.beta) == (0.2, 0.6)
 
     def test_rejects_negative_weights(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError, match="loss weight alpha must be finite and nonnegative"):
             LossWeights(-0.1, 0.6)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ParameterError):
-            total_loss(float("nan"), 0.0, 0.0)
 
 
 class TestBatchVariants:

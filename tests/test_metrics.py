@@ -65,7 +65,7 @@ class TestRocAuc:
     def test_average_ranks_of_ties_and_nans(self):
         # a tie shares the mean of its ranks; each NaN ranks after every
         # number, in input order
-        values = [0.5, np.nan, 0.2, 0.5, np.nan]
+        values = np.array([0.5, np.nan, 0.2, 0.5, np.nan])
         np.testing.assert_array_equal(metrics._average_ranks(values), [2.5, 4, 1, 2.5, 5])
         rng = np.random.default_rng(3)
         values = rng.integers(0, 5, size=300).astype(np.float64)

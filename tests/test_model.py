@@ -139,6 +139,18 @@ class TestForward:
         for name, _, grad in m.params():
             assert not grad.any(), name
 
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
+    def test_float32_batch_gives_the_float64_logits(self, build, training):
+        # the model converts its input once; every op after it sees float64
+        model = build(TINY, seed=6)
+        batch = np.random.default_rng(15).normal(size=(3, 1, 8, 8)).astype(np.float32)
+        single = model.forward(batch, training=training, seed=1).logits
+        double = model.forward(batch.astype(np.float64), training=training, seed=1).logits
+        for head in model.heads:
+            assert single[head].dtype == np.float64
+            np.testing.assert_array_equal(single[head], double[head])
+
     def test_wrong_spatial_size_rejected(self):
         m = TwoStreamModel(TINY, seed=1)
         with pytest.raises(DimensionError):

@@ -8,7 +8,9 @@ never stores them on ``self``, so one model can run on several threads. The
 third finds dead code: a public function, class or method that nothing in the
 package, its tests or its benchmark refers to. The fourth finds code kept only
 for the tests: a public name that neither the package (its re-exports aside)
-nor the benchmark refers to.
+nor the benchmark refers to. The fifth keeps the layer ops and the bilinear
+chain free of array conversions: their callers pass float64 arrays, converted
+once where data enters the program.
 """
 
 import ast
@@ -143,3 +145,21 @@ def test_every_public_name_is_referenced():
 def test_no_public_name_is_used_only_by_tests():
     # re-exports in __init__.py do not count as uses
     assert unreferenced([path for path in PACKAGE if path.name != "__init__.py"] + BENCHMARK) == []
+
+
+def conversions(source):
+    """Line of each call to ``np.asarray``, ``np.array`` or ``_as_f64`` in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np" and node.func.attr in ("asarray", "array")
+        or isinstance(node.func, ast.Name) and node.func.id == "_as_f64"))
+
+
+def test_conversion_guard_flags_asarray_array_and_as_f64():
+    source = "def f(x, y, z):\n    x = np.asarray(x)\n    y = np.array(y, dtype=float)\n    return _as_f64(z) + np.zeros(1)\n"
+    assert conversions(source) == [2, 3, 4]
+
+
+def test_layer_ops_and_bilinear_chain_convert_no_input():
+    found = {name: conversions((Path(msml.__path__[0]) / f"{name}.py").read_text()) for name in ("ops", "bilinear")}
+    assert found == {"ops": [], "bilinear": []}

@@ -11,11 +11,11 @@ from msml.gradcheck import TOLERANCES, check_case
 
 class TestAffine:
     def test_identity_weight(self):
-        out, _ = ops.affine_forward([[1.0, 2.0]], np.eye(2), [0.0, 0.0])
+        out, _ = ops.affine_forward(np.array([[1.0, 2.0]]), np.eye(2), np.zeros(2))
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_hand_matmul(self):
-        out, _ = ops.affine_forward([[1.0, 1.0]], [[2.0, 3.0], [4.0, 5.0]], [1.0, 1.0])
+        out, _ = ops.affine_forward(np.array([[1.0, 1.0]]), np.array([[2.0, 3.0], [4.0, 5.0]]), np.ones(2))
         np.testing.assert_array_equal(out, [[7.0, 9.0]])
 
     def test_bias_grad_of_sum_is_ones(self):
@@ -159,11 +159,11 @@ class TestMaxPool:
 
 class TestRelu:
     def test_values(self):
-        out, _ = ops.relu_forward([-1.0, 0.0, 2.0])
+        out, _ = ops.relu_forward(np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
 
     def test_subgradient_mask(self):
-        _, mask = ops.relu_forward([-1.0, 0.0, 2.0])
+        _, mask = ops.relu_forward(np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(ops.relu_backward(np.ones(3), mask), [0.0, 0.0, 1.0])
 
     def test_positive_identity(self):

@@ -13,9 +13,9 @@ import msml
 from helpers import peak_memory
 from msml import dataset as ds
 from msml.errors import ConfigError, DataError, NumericalError
-from msml.losses import LossWeights, total_loss
+from msml.losses import LossWeights
 from msml.model import BaselineModel, ModelConfig, TwoStreamModel, lr_schedule
-from msml.train import FoldData, _losses_and_grads, score_fold, train
+from msml.train import FoldData, _losses_and_grads, _phases, score_fold, train
 
 CFG = ModelConfig(
     num_classes=4,
@@ -54,7 +54,8 @@ class TestSmoke:
 
         def eval_loss(model):
             losses, _ = _losses_and_grads(model.forward(crops), tiny.labels, {})
-            return total_loss(losses["ce"], losses["msml"], losses["fce"], LossWeights())
+            weights = _phases("global", 1, model, LossWeights())[0][1]
+            return sum(weights[h] * losses[h] for h in weights)
 
         wins = 0
         for seed in range(5):
