@@ -109,8 +109,8 @@ def load_folds(data_dir, names=None):
 def cmd_gen_data(args) -> int:
     spec = ds.parse_fields(ds.GeneratorSpec, Path(args.spec).read_text())
     out_dir = Path(args.out)
+    folds = ds.split(spec.group_ids, spec.seed)  # too few groups exits before a sample is drawn
     data = ds.generate(spec)
-    folds = ds.split(data, spec.seed)
     ds.save(data, out_dir)
     ds.save_splits(folds, out_dir / "splits.json")
     ds.write_atomic(out_dir / "manifest.txt", ds.format_fields(spec))

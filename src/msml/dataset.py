@@ -36,6 +36,7 @@ FLOAT = np.float64
 MAGIC = b"MSMD0001"
 BACKGROUND_LEVEL = 0.1
 TEMPLATE_AMPLITUDE = 0.4
+GENERATE_CHUNK = 256  # samples whose float64 pixels generate works on at once
 
 DEFAULT_PREVALENCES = (0.25, 0.174, 0.121, 0.085, 0.059, 0.041, 0.029, 0.02)
 
@@ -85,6 +86,11 @@ class GeneratorSpec:
     def class_names(self):
         return [f"class_{c}" for c in range(self.num_classes)]
 
+    @property
+    def group_ids(self):
+        """The group of each sample: sample i belongs to group i % num_groups."""
+        return np.arange(self.num_samples, dtype=np.int64) % self.num_groups
+
 
 @dataclass
 class Dataset:
@@ -128,35 +134,52 @@ def class_template(class_index, channels, height, width):
 def generate(spec: GeneratorSpec) -> Dataset:
     """Draw the full dataset; deterministic from spec.seed.
 
-    Each sample uses its own generator seeded with ``seed ^ index`` so
-    generation could be parallelized per sample without changing output.
+    Each sample draws from its own generator seeded with ``seed ^ index``, so
+    generation could be parallelized per sample without changing output. The
+    sample loop makes only those draws: ``1 + num_classes`` uniforms (the
+    normal-or-not draw, then one per class) and, when ``noise_sigma > 0``, its
+    standard-normal pixels. Labels, noise scaling, templates, clipping and the
+    float32 cast then run on ``GENERATE_CHUNK`` samples at a time, so the
+    float64 pixels held at once are one chunk's.
     """
     spec.validate()
-    h, w = spec.image_size
+    n, h, w = spec.num_samples, *spec.image_size
     prev = np.asarray(spec.class_prevalence, dtype=FLOAT)
     templates = np.stack([class_template(c, spec.channels, h, w) for c in range(spec.num_classes)])
-    images = np.empty((spec.num_samples, spec.channels, h, w), dtype=np.float32)
-    labels = np.zeros((spec.num_samples, spec.num_classes), dtype=np.int8)
-    group_ids = np.arange(spec.num_samples, dtype=np.int64) % spec.num_groups
-    for i in range(spec.num_samples):
-        rng = np.random.default_rng(spec.seed ^ i)
-        is_normal = rng.random() < spec.normal_fraction
-        u = rng.random(spec.num_classes)
-        if not is_normal:
-            pos = u < prev
-            # Boosts re-test the same uniform draw against a raised threshold,
-            # triggered by base positives only (no chaining through boosts).
-            base_pos = pos.copy()
-            for a, b, boost in spec.cooccurrence_pairs:
-                if base_pos[a] and u[b] < prev[b] + boost:
-                    pos[b] = True
-            labels[i] = pos
-        img = np.full((spec.channels, h, w), BACKGROUND_LEVEL, dtype=FLOAT)
-        if spec.noise_sigma > 0:
-            img += rng.normal(0.0, spec.noise_sigma, size=img.shape)
-        img += templates[labels[i] == 1].sum(axis=0)
-        images[i] = np.clip(img, 0.0, 1.0).astype(np.float32)
-    return Dataset(images, labels, group_ids, spec.class_names)
+    images = np.empty((n, spec.channels, h, w), dtype=np.float32)
+    labels = np.empty((n, spec.num_classes), dtype=np.int8)
+    draws = np.empty((n, 1 + spec.num_classes), dtype=FLOAT)
+    pixels = np.empty((min(n, GENERATE_CHUNK), spec.channels, h, w), dtype=FLOAT)
+    for start in range(0, n, GENERATE_CHUNK):
+        stop = min(start + GENERATE_CHUNK, n)
+        x = pixels[: stop - start]
+        for i in range(start, stop):
+            rng = np.random.default_rng(spec.seed ^ i)
+            rng.random(out=draws[i])
+            if spec.noise_sigma > 0:
+                rng.standard_normal(out=x[i - start])
+        u = draws[start:stop, 1:]
+        pos = u < prev
+        # Boosts re-test the same uniform draw against a raised threshold,
+        # triggered by base positives only (no chaining through boosts).
+        base_pos = pos.copy()
+        for a, b, boost in spec.cooccurrence_pairs:
+            pos[:, b] |= base_pos[:, a] & (u[:, b] < prev[b] + boost)
+        pos[draws[start:stop, 0] < spec.normal_fraction] = False  # a normal sample has no labels
+        labels[start:stop] = pos
+        if spec.noise_sigma > 0:  # the bits of full(BACKGROUND_LEVEL) + normal(0, sigma)
+            x *= spec.noise_sigma
+            x += BACKGROUND_LEVEL
+        else:
+            x.fill(BACKGROUND_LEVEL)
+        template_sums = {}  # this chunk's label rows (as bytes) -> templates[row == 1].sum(axis=0)
+        for j, row in enumerate(labels[start:stop]):
+            key = row.tobytes()
+            if key not in template_sums:
+                template_sums[key] = templates[row == 1].sum(axis=0)
+            x[j] += template_sums[key]
+        images[start:stop] = np.clip(x, 0.0, 1.0, out=x)
+    return Dataset(images, labels, spec.group_ids, spec.class_names)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +189,12 @@ def generate(spec: GeneratorSpec) -> Dataset:
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train, val, test share of the groups
 
 
-def split(dataset: Dataset, seed: int):
-    """Assign whole groups to train/val/test index arrays, so no group id
-    crosses folds; fold sizes land within one group of ``SPLIT_FRACTIONS``."""
-    groups = np.unique(dataset.group_ids)
+def split(group_ids, seed: int):
+    """Assign whole groups to train/val/test arrays of indices into
+    ``group_ids``, so no group id crosses folds; fold sizes land within one
+    group of ``SPLIT_FRACTIONS``."""
+    ids = np.sort(group_ids)
+    groups = np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))  # distinct and sorted, as np.unique gives them
     if groups.size < 10:
         raise DataError(f"grouped split needs >= 10 groups, got {groups.size}")
     order = np.random.default_rng(seed).permutation(groups)
@@ -181,7 +206,7 @@ def split(dataset: Dataset, seed: int):
         "val": order[n_train : n_train + n_val],
         "test": order[n_train + n_val :],
     }
-    return {name: np.flatnonzero(np.isin(dataset.group_ids, ids)) for name, ids in fold_groups.items()}
+    return {name: np.flatnonzero(np.isin(group_ids, fold)) for name, fold in fold_groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +313,7 @@ def save(dataset: Dataset, directory):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["sample_id", "group_id", *dataset.class_names])
-    for i in range(n):
-        writer.writerow([i, int(dataset.group_ids[i]), *map(int, dataset.labels[i])])
+    writer.writerows(np.column_stack((np.arange(n), dataset.group_ids, dataset.labels)).tolist())
     write_atomic(directory / "labels.csv", buf.getvalue())
 
 

@@ -44,7 +44,7 @@ def report(name, ok, detail=""):
 def default_data():
     spec = ds.GeneratorSpec()  # C=8, N=2000, 100 groups, 32x32, seed-controlled
     data = ds.generate(spec)
-    folds_idx = ds.split(data, spec.seed)
+    folds_idx = ds.split(data.group_ids, spec.seed)
     images = {k: data.images[v] for k, v in folds_idx.items()}
     normed = ds.normalize(images, images["train"])
     folds = {

@@ -25,7 +25,7 @@ def pristine(tmp_path_factory):
         class_prevalence=(0.4, 0.3), cooccurrence_pairs=(), seed=3,
     ))
     ds.save(data, root)
-    ds.save_splits(ds.split(data, 3), root / "splits.json")
+    ds.save_splits(ds.split(data.group_ids, 3), root / "splits.json")
     cfg = ModelConfig(num_classes=2, input_size=(8, 8), conv_blocks=((2, 3, True), (2, 3, True)), proj_width=2)
     save_checkpoint(TwoStreamModel(cfg, seed=1), root / "model.ckpt")
     return root

@@ -108,6 +108,16 @@ class TestGenData:
         assert "grouped split needs >= 10 groups, got 5" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_too_few_groups_exits_2_before_generating(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ds, "generate", lambda spec: calls.append(spec))
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text("num_samples = 20000\nnum_groups = 5\n")
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(tmp_path / "x")]) == 2
+        assert "grouped split needs >= 10 groups, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        assert calls == []
+
     def test_missing_spec_exits_2(self, tmp_path):
         assert main(["gen-data", "--spec", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -340,7 +350,7 @@ class TestEval:
 
     def test_scoring_a_split_holds_the_pixels_and_the_train_fold_once(self, tmp_path):
         data = ds.generate(ds.GeneratorSpec(num_samples=2000, seed=5))
-        folds = ds.split(data, 5)
+        folds = ds.split(data.group_ids, 5)
         ds.save(data, tmp_path)
         ds.save_splits(folds, tmp_path / "splits.json")
         # the float32 pixels, and the train fold as float64 for its statistics

@@ -1,5 +1,6 @@
 """Generator, split, normalization, crop, and storage tests."""
 
+import hashlib
 import os
 import struct
 import threading
@@ -117,6 +118,41 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=rf"pair \({a}, {b}\) needs two distinct classes in \[0, 8\)"):
             ds.GeneratorSpec(cooccurrence_pairs=((a, b, 0.1),)).validate()
 
+    # sha256 of images.bin, labels.csv and splits.json as save and save_splits write them
+    @pytest.mark.parametrize("kw,digests", [
+        (dict(num_samples=600, num_groups=30, seed=5),  # the default boosts, over three chunks
+         ("dfb08f1995c58831cd4f8aae50603b6db5e9864254881234022cb519f2c82394",
+          "133f1ab1a9e0f1cea39cd36995edafe7d7d3285ab80ec4ec34e18585e3013ee5",
+          "121bebde4f08413add9835f92ef5ab51c6cdefe7c09ddf64b4ffcbc7c222cd92")),
+        (dict(num_samples=300, num_groups=20, noise_sigma=0.0, seed=11),
+         ("40091c80b652c1a97f6110280341119b9a83e81d61c4de3ea8674ff85fbcb605",
+          "45c1d75c9ba1be9f11d0f1b0cda8b2aa38ce86117ad9fb165cc02fedd1e2db15",
+          "eeaf04c8b20b8cb1c720891e2a897d03dedf44ca3f120ad83d49b3476b279e7f")),
+        (dict(num_samples=300, num_groups=20, normal_fraction=1.0, seed=11),
+         ("90f8bcdccde797bf22720c870fd218a725f22e72120b81861e416e690bf0e1ff",
+          "1f5e166fe96990302767f580b5ff92b0320150a4ae1b22145a9abad963968ffc",
+          "eeaf04c8b20b8cb1c720891e2a897d03dedf44ca3f120ad83d49b3476b279e7f")),
+        (dict(num_samples=777, num_groups=37, channels=2, image_size=(16, 12), noise_sigma=0.37, seed=9),
+         ("10175575baa938610c768e5d788ab3de9b423f013233ec9c98c5fdf96233909f",
+          "01c0d1eaebae0ee155375ff66d2ef404eb5a51f9e68653936a5b7c2b9bdf14e4",
+          "3a9dc09bb77bc5f51e5827914e0ed1b0b7648d1d42750c903bfcc65d82ba5b77")),
+    ], ids=["boosts", "noiseless", "all_normal", "777_samples"])
+    def test_saved_bytes_are_pinned(self, tmp_path, kw, digests):
+        spec = ds.GeneratorSpec(**kw)
+        data = ds.generate(spec)
+        ds.save(data, tmp_path)
+        ds.save_splits(ds.split(data.group_ids, spec.seed), tmp_path / "splits.json")
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("images.bin", "labels.csv", "splits.json"))
+        assert got == digests
+
+    def test_float64_work_is_one_chunk(self):
+        # a float64 buffer of the whole dataset would take 16 MB more
+        spec = small_spec(num_samples=2000, num_groups=100)
+        with peak_memory() as peak:
+            data = ds.generate(spec)
+        assert peak[0] < data.images.nbytes + 4 * 2**20
+
 
 class TestTemplates:
     def test_distinct_per_class(self):
@@ -135,7 +171,7 @@ class TestTemplates:
 class TestSplit:
     def test_grouped_folds_share_no_groups(self):
         data = ds.generate(small_spec())
-        folds = ds.split(data, 3)
+        folds = ds.split(data.group_ids, 3)
         groups = {name: set(data.group_ids[idx].tolist()) for name, idx in folds.items()}
         assert groups["train"] & groups["val"] == set()
         assert groups["train"] & groups["test"] == set()
@@ -143,13 +179,13 @@ class TestSplit:
 
     def test_folds_partition_all_samples(self):
         data = ds.generate(small_spec())
-        folds = ds.split(data, 3)
+        folds = ds.split(data.group_ids, 3)
         merged = np.sort(np.concatenate(list(folds.values())))
         np.testing.assert_array_equal(merged, np.arange(len(data)))
 
     def test_group_counts_within_one_of_targets(self):
         data = ds.generate(ds.GeneratorSpec(num_samples=1000, num_groups=100, seed=4))
-        folds = ds.split(data, 4)
+        folds = ds.split(data.group_ids, 4)
         counts = {name: len(set(data.group_ids[idx].tolist())) for name, idx in folds.items()}
         assert abs(counts["train"] - 70) <= 1
         assert abs(counts["val"] - 10) <= 1
@@ -157,8 +193,8 @@ class TestSplit:
 
     def test_same_seed_same_folds(self):
         data = ds.generate(small_spec())
-        a = ds.split(data, 9)
-        b = ds.split(data, 9)
+        a = ds.split(data.group_ids, 9)
+        b = ds.split(data.group_ids, 9)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
@@ -166,9 +202,7 @@ class TestSplit:
         rng = np.random.default_rng(12)
         for g in range(10, 301):
             group_ids = rng.permutation(np.repeat(np.arange(g), rng.integers(1, 4, size=g)))
-            data = ds.Dataset(np.zeros((group_ids.size, 1, 8, 8), np.float32),
-                              np.zeros((group_ids.size, 1), np.int8), group_ids, ["class_0"])
-            folds = ds.split(data, g)
+            folds = ds.split(group_ids, g)
             assert all(idx.size > 0 for idx in folds.values()), g
             merged = np.sort(np.concatenate(list(folds.values())))
             np.testing.assert_array_equal(merged, np.arange(group_ids.size))
@@ -176,13 +210,26 @@ class TestSplit:
     def test_too_few_groups(self):
         data = ds.generate(small_spec(num_groups=5))
         with pytest.raises(DataError):
-            ds.split(data, 0)
+            ds.split(data.group_ids, 0)
+
+    def test_groups_are_permuted_in_the_sorted_order_of_numpy_unique(self):
+        rng = np.random.default_rng(3)
+        group_ids = rng.choice(np.array([-40, -7, 0, 3, 5, 11, 12, 90, 91, 1000, 2**40]), size=300)
+        order = np.random.default_rng(8).permutation(np.unique(group_ids))
+        folds = ds.split(group_ids, 8)
+        for name, fold_groups in (("train", order[:8]), ("val", order[8:9]), ("test", order[9:])):
+            np.testing.assert_array_equal(folds[name], np.flatnonzero(np.isin(group_ids, fold_groups)))
+
+    def test_spec_group_ids_are_the_generated_ones(self):
+        spec = small_spec(num_samples=57, num_groups=20)
+        np.testing.assert_array_equal(spec.group_ids, ds.generate(spec).group_ids)
+        np.testing.assert_array_equal(spec.group_ids, np.arange(57) % 20)
 
 
 class TestNormalize:
     def test_train_fold_standardized(self):
         data = ds.generate(small_spec())
-        folds = ds.split(data, 2)
+        folds = ds.split(data.group_ids, 2)
         images = {k: data.images[v] for k, v in folds.items()}
         normed = ds.normalize(images, images["train"])
         post_mean, post_std = ds.channel_stats(normed["train"])
@@ -191,7 +238,7 @@ class TestNormalize:
 
     def test_test_fold_uses_train_stats(self):
         data = ds.generate(small_spec())
-        folds = ds.split(data, 2)
+        folds = ds.split(data.group_ids, 2)
         images = {k: data.images[v] for k, v in folds.items()}
         normed = ds.normalize(images, images["train"])
         mean, std = ds.channel_stats(images["train"])
@@ -373,7 +420,7 @@ class TestStorage:
 
     def test_splits_round_trip(self, tmp_path):
         data = ds.generate(small_spec())
-        folds = ds.split(data, 5)
+        folds = ds.split(data.group_ids, 5)
         ds.save_splits(folds, tmp_path / "splits.json")
         back = ds.load_splits(tmp_path / "splits.json", len(data))
         for name in folds:
@@ -448,7 +495,7 @@ class TestStorage:
     )
     def test_bad_split_index_names_the_fold(self, tmp_path, corrupt, message):
         data = ds.generate(small_spec())
-        folds = {name: idx.tolist() for name, idx in ds.split(data, 5).items()}
+        folds = {name: idx.tolist() for name, idx in ds.split(data.group_ids, 5).items()}
         corrupt(folds)
         ds.save_splits(folds, tmp_path / "splits.json")
         with pytest.raises(FormatError, match=message):

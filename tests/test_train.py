@@ -33,7 +33,7 @@ def folds():
         normal_fraction=0.3, noise_sigma=0.05, seed=77,
     )
     data = ds.generate(spec)
-    idx = ds.split(data, 77)
+    idx = ds.split(data.group_ids, 77)
     images = {k: data.images[v] for k, v in idx.items()}
     normed = ds.normalize(images, images["train"])
     return {k: FoldData(normed[k], data.labels[idx[k]].astype(np.float64)) for k in idx}

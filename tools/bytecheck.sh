@@ -1,5 +1,5 @@
 #!/bin/sh
-# usage: bytecheck.sh SRC_TREE OUT_DIR -- gen-data, four trains (every strategy and the baseline), five evals (every head); sha256 of every output
+# usage: bytecheck.sh SRC_TREE OUT_DIR -- two gen-data (noisy; noiseless with a part-chunk tail), four trains (every strategy and the baseline), five evals (every head); sha256 of every output
 # Every command runs inside OUT_DIR on relative paths, so no output (resolved_config.txt names the dataset and
 # out_dir) depends on where OUT_DIR is, and two trees hashed into different directories can be compared.
 set -e
@@ -9,6 +9,8 @@ export PYTHONPATH="$SRC/src" OPENBLAS_NUM_THREADS=1
 msml() { python3 -c "from msml.cli import entry; entry()" "$@"; }
 printf 'num_samples = 400\nnum_groups = 40\nseed = 11\nnoise_sigma = 0.08\ncooccurrence_pairs = 0:1:0.2, 2:3:0.15\n' > spec.txt
 msml gen-data --spec spec.txt --out data
+printf 'num_samples = 777\nnoise_sigma = 0\nseed = 11\n' > spec_noiseless.txt
+msml gen-data --spec spec_noiseless.txt --out data_noiseless
 for run in two_stream:global two_stream:local two_stream:local_fixed baseline:global; do
   model=${run%%:*}; strategy=${run##*:}
   printf 'dataset = data\nmodel = %s\nstrategy = %s\nepochs = 3\nlearning_rate = 0.001\nseed = 5\nout_dir = run_%s_%s\n' \
