@@ -27,7 +27,7 @@ import numpy as np
 from . import bilinear as bl
 from . import ops
 from .losses import LossWeights, msml_batch, sigmoid_bce_batch
-from .model import Linear, ModelConfig, TwoStreamModel
+from .model import Linear, ModelConfig, Slab, TwoStreamModel
 from .train import _losses_and_grads, _phases
 
 STEP = 1e-5
@@ -81,7 +81,8 @@ def _batch_loss(loss):
 def _bilinear_head(rng, i):
     """The feature chain, then a projection and a classifier ``Linear``; the
     layers' own weights and biases are the last four arrays."""
-    proj, cls = Linear(9, 6, rng), Linear(6, 4, rng)
+    slab = Slab(9 * 6 + 6 + 6 * 4 + 4)
+    proj, cls = Linear(slab, "proj", 9, 6, rng), Linear(slab, "cls", 6, 4, rng)
     proj.b[...], cls.b[...] = rng.normal(size=6), rng.normal(size=4)
 
     def forward(f1, f2, *weights):

@@ -1,16 +1,13 @@
 """Loss functions for multi-label classification.
 
-Two pieces:
+Two pieces, each over an (N, C) batch, returning the mean per-sample loss
+with the gradient of that mean:
 
-* ``sigmoid_bce`` - per-class sigmoid binary cross-entropy summed over
+* ``sigmoid_bce_batch`` - per-class sigmoid binary cross-entropy summed over
   classes, with the classic logit-space gradient z_c - y_c.
-* ``msml`` - the multi-label softmax loss: for each positive class, a softmax
-  restricted to that positive against all negative classes; the loss is the
-  mean negative log of those restricted probabilities.
-
-The ``*_batch`` variants take (N, C) arrays and return the mean loss with
-the gradient of that mean; the per-sample functions are views of them on a
-batch of one.
+* ``msml_batch`` - the multi-label softmax loss: for each positive class, a
+  softmax restricted to that positive against all negative classes; a
+  sample's loss is the mean negative log of those restricted probabilities.
 """
 
 from __future__ import annotations
@@ -46,25 +43,14 @@ def _check_pair(logits, labels):
     return logits, labels
 
 
-def sigmoid_bce(logits, labels):
-    """Sum over classes of -[y log z + (1-y) log(1-z)], z = sigmoid(logit).
-
-    Computed in the log-sum form max(x, 0) - x*y + log(1 + exp(-|x|)) so a
-    saturated sigmoid never reaches log(). Returns (loss, grad) with
-    grad[c] = z_c - y_c.
-    """
-    loss, grad = sigmoid_bce_batch(np.asarray(logits)[None], np.asarray(labels)[None])
-    return loss, grad[0]
-
-
-def msml(logits, labels):
-    """Multi-label softmax loss of one sample; see ``msml_batch``."""
-    loss, grad = msml_batch(np.asarray(logits)[None], np.asarray(labels)[None])
-    return loss, grad[0]
-
-
 def sigmoid_bce_batch(logits, labels):
-    """Mean per-sample sigmoid BCE over an (N, C) batch, with its gradient."""
+    """Mean per-sample sigmoid BCE over an (N, C) batch, with its gradient.
+
+    A sample's loss is the sum over classes of -[y log z + (1-y) log(1-z)],
+    z = sigmoid(logit), computed in the log-sum form max(x, 0) - x*y +
+    log(1 + exp(-|x|)) so a saturated sigmoid never reaches log(). The
+    gradient of a sample's loss is z_c - y_c.
+    """
     x, y = _check_pair(logits, labels)
     y = y.astype(FLOAT)
     n = x.shape[0]

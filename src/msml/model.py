@@ -6,11 +6,12 @@ The two streams start from bit-identical backbone weights (built from the
 same seed) and are driven apart during training by their different head
 losses. The bilinear head consumes both streams' final feature maps.
 
-Checkpoints use magic ``MSML0003``, then a little-endian uint32 length and
-a UTF-8 ``key = value`` block (the ModelConfig fields and the model ``kind``,
-in the syntax of ``dataset.parse_fields``), then the raw little-endian float64
-values of ``model.params()``, in that order. The block alone describes the
-architecture: a model is rebuilt from it, and its parameters filled in order.
+A model's parameters are views of one ``Slab``, a value and a gradient vector.
+Checkpoints use magic ``MSML0003``, a little-endian uint32 length, a UTF-8
+``key = value`` block (the ModelConfig fields and the model ``kind``, in the
+syntax of ``dataset.parse_fields``), then the value vector as raw little-endian
+float64. The block alone describes the architecture: a model is rebuilt from
+it, and its value vector filled in one copy.
 """
 
 from __future__ import annotations
@@ -135,16 +136,37 @@ def _both(pool, task_a, task_b):
 # parameterized layers
 # ---------------------------------------------------------------------------
 
+class Slab:
+    """One model's parameters: a float64 ``values`` vector and its ``grads``,
+    handed out to the layers in checkpoint order as named views."""
+
+    def __init__(self, size):
+        self.values, self.grads = np.zeros(size, dtype=FLOAT), np.zeros(size, dtype=FLOAT)
+        self.at = 0  # entries handed out so far
+        self.params = []  # (name, value, grad) triples
+
+    def take(self, name, init):
+        """(value, grad): views of the next ``init.shape`` entries, the value set to ``init``."""
+        stop = self.at + init.size
+        value, grad = (vector[self.at : stop].reshape(init.shape) for vector in (self.values, self.grads))
+        value[...] = init
+        self.params.append((name, value, grad))
+        self.at = stop
+        return value, grad
+
+    def name_at(self, i):
+        """The name of the parameter that holds ``values[i]``, for reporting a fault there."""
+        ends = np.cumsum([value.size for _, value, _ in self.params])
+        return self.params[int(np.searchsorted(ends, i, side="right"))][0]
+
+
 class Linear:
     """A dense layer: each sample flattened, inverted dropout at ``rate`` in
     training passes (its mask seeded by ``forward``'s ``seed``), then the affine map."""
 
-    def __init__(self, in_dim, out_dim, rng, rate=0.0):
-        std = np.sqrt(2.0 / in_dim)
-        self.w = rng.normal(0.0, std, size=(in_dim, out_dim))
-        self.b = np.zeros(out_dim, dtype=FLOAT)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+    def __init__(self, slab, name, in_dim, out_dim, rng, rate=0.0):
+        self.w, self.dw = slab.take(f"{name}.w", rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(in_dim, out_dim)))
+        self.b, self.db = slab.take(f"{name}.b", np.zeros(out_dim))
         self.rate = rate
 
     def forward(self, x, training=False, seed=None):
@@ -159,9 +181,6 @@ class Linear:
         self.db += db
         return ops.dropout_backward(dx, mask).reshape(shape)
 
-    def params(self, prefix):
-        return [(f"{prefix}.w", self.w, self.dw), (f"{prefix}.b", self.b, self.db)]
-
 
 class Conv2d:
     """One backbone block: conv, then the optional 2x2/2 max-pool, then +bias and
@@ -169,12 +188,10 @@ class Conv2d:
     commutes with a per-channel bias add and with ReLU, both monotone), and the
     bias add and ReLU then touch a quarter of the elements."""
 
-    def __init__(self, in_ch, out_ch, kernel, rng, pool):
+    def __init__(self, slab, name, in_ch, out_ch, kernel, rng, pool):
         std = np.sqrt(2.0 / (in_ch * kernel * kernel))
-        self.w = rng.normal(0.0, std, size=(out_ch, in_ch, kernel, kernel))
-        self.b = np.zeros(out_ch, dtype=FLOAT)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self.w, self.dw = slab.take(f"{name}.w", rng.normal(0.0, std, size=(out_ch, in_ch, kernel, kernel)))
+        self.b, self.db = slab.take(f"{name}.b", np.zeros(out_ch))
         self.pool = pool
 
     def forward(self, x, training=False):
@@ -201,19 +218,16 @@ class Conv2d:
         self.dw += dw
         return dx
 
-    def params(self, prefix):
-        return [(f"{prefix}.w", self.w, self.dw), (f"{prefix}.b", self.b, self.db)]
-
 
 class Backbone:
     """Stack of same-padded conv blocks (``Conv2d``: conv -> optional 2x2 maxpool
     -> +bias -> relu)."""
 
-    def __init__(self, cfg: ModelConfig, rng):
+    def __init__(self, slab, name, cfg: ModelConfig, rng):
         self.convs = []
         in_ch = cfg.input_channels
-        for out_ch, kernel, pool in cfg.conv_blocks:
-            self.convs.append(Conv2d(in_ch, out_ch, kernel, rng, pool))
+        for i, (out_ch, kernel, pool) in enumerate(cfg.conv_blocks):
+            self.convs.append(Conv2d(slab, f"{name}.block{i}.conv", in_ch, out_ch, kernel, rng, pool))
             in_ch = out_ch
 
     def forward(self, x, training=False):
@@ -228,12 +242,6 @@ class Backbone:
         """Accumulate the parameter gradients; the input image gets no gradient."""
         for i in reversed(range(len(self.convs))):
             dout = self.convs[i].backward(dout, tape[i], input_grad=i > 0)
-
-    def params(self, prefix):
-        out = []
-        for i, conv in enumerate(self.convs):
-            out.extend(conv.params(f"{prefix}.block{i}.conv"))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +270,21 @@ def _check_batch(batch, cfg: ModelConfig):
 
 
 class Model:
-    """What both models share. Subclasses set ``kind``, ``heads`` and ``primary_head``
-    and define ``param_groups``, ``forward(batch, training, seed)``, which returns a
-    ForwardPass with one logits entry per head, and ``backward(tape, grads)``, which
-    takes a dict head -> logit gradient. The loss weights belong to training."""
+    """What both models share. Subclasses set ``kind``, ``heads``, ``primary_head`` and ``bilinear_start``,
+    the slab entry where the bilinear head begins. They define ``forward(batch, training, seed)``, which
+    returns a ForwardPass with one logits entry per head, and ``backward(tape, grads)``, which takes a
+    dict head -> logit gradient. The loss weights belong to training."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg.validate()
+        self.slab = Slab(_value_count(cfg, self.kind))
 
     def params(self):
         """Every (name, value, grad) triple, in checkpoint order."""
-        return [p for group in self.param_groups().values() for p in group]
+        return self.slab.params
 
     def zero_grads(self):
-        for _, _, g in self.params():
-            g[...] = 0.0
+        self.slab.grads.fill(0.0)
 
 
 class TwoStreamModel(Model):
@@ -289,15 +297,17 @@ class TwoStreamModel(Model):
     def __init__(self, cfg: ModelConfig, seed: int):
         super().__init__(cfg)
         d, h, w = cfg.feature_shape
-        flat = d * h * w
+        flat, classes = d * h * w, cfg.num_classes
         # Streams share one seed stream so their initial weights are
         # bit-identical; every head draws from its own stream.
-        self.stream_a = Backbone(cfg, np.random.default_rng([seed, 0]))
-        self.stream_b = Backbone(cfg, np.random.default_rng([seed, 0]))
-        self.head_ce = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 1]), cfg.dropout_rate)
-        self.head_msml = Linear(flat, cfg.num_classes, np.random.default_rng([seed, 2]), cfg.dropout_rate)
-        self.proj = Linear(d * d, cfg.proj_width, np.random.default_rng([seed, 3]))
-        self.cls = Linear(cfg.proj_width, cfg.num_classes, np.random.default_rng([seed, 4]))
+        slab = self.slab
+        self.stream_a = Backbone(slab, "stream_a", cfg, np.random.default_rng([seed, 0]))
+        self.stream_b = Backbone(slab, "stream_b", cfg, np.random.default_rng([seed, 0]))
+        self.head_ce = Linear(slab, "head_ce", flat, classes, np.random.default_rng([seed, 1]), cfg.dropout_rate)
+        self.head_msml = Linear(slab, "head_msml", flat, classes, np.random.default_rng([seed, 2]), cfg.dropout_rate)
+        self.bilinear_start = slab.at
+        self.proj = Linear(slab, "bilinear.proj", d * d, cfg.proj_width, np.random.default_rng([seed, 3]))
+        self.cls = Linear(slab, "bilinear.cls", cfg.proj_width, classes, np.random.default_rng([seed, 4]))
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         batch = _check_batch(batch, self.cfg)
@@ -335,14 +345,6 @@ class TwoStreamModel(Model):
         _both(worker_pool(), lambda: self.stream_a.backward(d_fa, tape_a),
               lambda: self.stream_b.backward(d_fb, tape_b))
 
-    def param_groups(self):
-        """Named parameter subsets used by the training strategies."""
-        return {
-            "backbones": self.stream_a.params("stream_a") + self.stream_b.params("stream_b"),
-            "stream_heads": self.head_ce.params("head_ce") + self.head_msml.params("head_msml"),
-            "bilinear_head": self.proj.params("bilinear.proj") + self.cls.params("bilinear.cls"),
-        }
-
 
 class BaselineModel(Model):
     """Single backbone with a sigmoid-CE classifier; the plain reference model."""
@@ -354,8 +356,10 @@ class BaselineModel(Model):
     def __init__(self, cfg: ModelConfig, seed: int):
         super().__init__(cfg)
         d, h, w = cfg.feature_shape
-        self.backbone = Backbone(cfg, np.random.default_rng([seed, 0]))
-        self.head_ce = Linear(d * h * w, cfg.num_classes, np.random.default_rng([seed, 1]), cfg.dropout_rate)
+        self.backbone = Backbone(self.slab, "backbone", cfg, np.random.default_rng([seed, 0]))
+        rng = np.random.default_rng([seed, 1])
+        self.head_ce = Linear(self.slab, "head_ce", d * h * w, cfg.num_classes, rng, cfg.dropout_rate)
+        self.bilinear_start = self.slab.at  # no bilinear head: it would begin at the end
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         batch = _check_batch(batch, self.cfg)
@@ -369,11 +373,6 @@ class BaselineModel(Model):
             return
         backbone_tape, head_cache = tape
         self.backbone.backward(self.head_ce.backward(grads["ce"], head_cache), backbone_tape)
-
-    def param_groups(self):
-        return {"backbones": self.backbone.params("backbone"),
-                "stream_heads": self.head_ce.params("head_ce"),
-                "bilinear_head": []}
 
 
 MODELS = {model_cls.kind: model_cls for model_cls in (TwoStreamModel, BaselineModel)}
@@ -393,39 +392,35 @@ def predict(model, batch):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Standard Adam with bias correction, updating parameters in place."""
+    """Standard Adam with bias correction, updating ``values`` in place from ``grads``."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params):
-        self.params = list(params)  # (name, value, grad) triples
+    def __init__(self, values, grads):
+        self.values, self.grads = values, grads
         self.t = 0
-        self.m = [np.zeros_like(p) for _, p, _ in self.params]
-        self.v = [np.zeros_like(p) for _, p, _ in self.params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for _, p, _ in self.params]
+        self.m, self.v, self._s, self._r = (np.zeros_like(values) for _ in range(4))
 
     def step(self, lr):
         """p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
-        into two scratch arrays per parameter, so no step allocates."""
+        into two scratch vectors, so no step allocates."""
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for (_, p, g), m, v, (s, r) in zip(self.params, self.m, self.v, self._scratch):
-            if g.shape != p.shape:
-                raise DimensionError.mismatch("adam grad", g.shape, p.shape)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=s)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=s)
-            v += np.multiply(s, g, out=s)
-            np.divide(v, c2, out=r)
-            np.sqrt(r, out=r)
-            r += self.eps
-            np.divide(m, c1, out=s)
-            s *= lr
-            p -= np.divide(s, r, out=s)
+        p, g, m, v, s, r = self.values, self.grads, self.m, self.v, self._s, self._r
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=s)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        np.divide(m, c1, out=s)
+        s *= lr
+        p -= np.divide(s, r, out=s)
 
 
 def lr_schedule(initial_lr, epoch):
@@ -448,8 +443,8 @@ class _Header(ModelConfig):
 
 def save_checkpoint(model, path):
     block = format_fields(_Header(**vars(model.cfg), kind=model.kind)).encode("utf-8")
-    values = [np.ascontiguousarray(value, dtype="<f8") for _, value, _ in model.params()]
-    write_atomic(path, CHECKPOINT_MAGIC, struct.pack("<I", len(block)), block, *values)
+    values = np.ascontiguousarray(model.slab.values, dtype="<f8")
+    write_atomic(path, CHECKPOINT_MAGIC, struct.pack("<I", len(block)), block, values)
 
 
 def _value_count(cfg: ModelConfig, kind):
@@ -492,13 +487,10 @@ def model_from_checkpoint(path):
                           offset=end)
     values = np.frombuffer(raw, dtype="<f8", offset=end)
     model = MODELS[header.kind](cfg, seed=0)
-    at = 0
-    for name, value, _ in model.params():
-        stored = values[at : at + value.size]
-        bad = np.flatnonzero(~np.isfinite(stored))
-        if bad.size:
-            raise FormatError(f"checkpoint parameter {name} holds a NaN or an infinity",
-                              offset=end + 8 * (at + int(bad[0])))
-        value[...] = stored.reshape(value.shape)
-        at += value.size
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise FormatError(f"checkpoint parameter {model.slab.name_at(i)} holds a NaN or an infinity",
+                          offset=end + 8 * i)
+    model.slab.values[...] = values
     return model

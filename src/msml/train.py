@@ -13,10 +13,10 @@ Strategies:
 The objective is alpha * (msml + ce) + beta * fce, with alpha and beta from
 the LossWeights ``train`` receives; the baseline trains its one head at
 weight 1. Each phase gives its heads their weights: a head left out, or
-weighted 0, adds no gradient. Freezing is implemented by handing the
-optimizer only the active parameter subset, so frozen tensors are
-bit-identical across a phase. Every run is deterministic from (model seed,
-train seed, data, config).
+weighted 0, adds no gradient. Each phase hands the optimizer one slice of
+the model's parameter vector: all of it, the part before the bilinear head,
+or the bilinear head. So frozen parameters are bit-identical across a phase.
+Every run is deterministic from (model seed, train seed, data, config).
 """
 
 from __future__ import annotations
@@ -69,20 +69,19 @@ class FoldData:
 
 
 def _phases(strategy, epochs, model, weights):
-    """(epochs, head -> loss weight, parameters to update) for each phase of ``strategy``."""
+    """(epochs, head -> loss weight, the slice of the parameter vector to update) for each phase of ``strategy``."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; choose one of {STRATEGIES}")
     if model.kind == "baseline":
-        return [(epochs, {"ce": 1.0}, model.params())]
+        return [(epochs, {"ce": 1.0}, slice(None))]
     streams = {"ce": weights.alpha, "msml": weights.alpha}
     full = {**streams, "fce": weights.beta}
     if strategy == "global":
-        return [(epochs, full, model.params())]
-    groups = model.param_groups()
+        return [(epochs, full, slice(None))]
     phase1 = max(1, (2 * epochs) // 3)
-    plan = [(phase1, streams, groups["backbones"] + groups["stream_heads"])]
+    plan = [(phase1, streams, slice(None, model.bilinear_start))]
     if epochs > phase1:
-        plan.append((epochs - phase1, full, model.params() if strategy == "local" else groups["bilinear_head"]))
+        plan.append((epochs - phase1, full, slice(None) if strategy == "local" else slice(model.bilinear_start, None)))
     return plan
 
 
@@ -109,8 +108,8 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
     n = len(train_fold)
     history = []
     epoch = 0
-    for phase_epochs, head_weights, params in _phases(strategy, epochs, model, weights):
-        opt = Adam(params)
+    for phase_epochs, head_weights, part in _phases(strategy, epochs, model, weights):
+        opt = Adam(model.slab.values[part], model.slab.grads[part])
         for _ in range(phase_epochs):
             lr = lr_schedule(initial_lr, epoch)
             order = rng.permutation(n)
@@ -126,12 +125,10 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
                 model.zero_grads()
                 model.backward(out.tape, grads)
                 opt.step(lr)
-                for name, value, _ in params:
-                    if not np.isfinite(value).all():
-                        raise NumericalError(
-                            f"non-finite parameter {name} after the update at epoch {epoch}, step {steps}",
-                            epoch=epoch, step=steps,
-                        )
+                finite = np.isfinite(model.slab.values)
+                if not finite.all():
+                    raise NumericalError(f"non-finite parameter {model.slab.name_at(int(finite.argmin()))} after the "
+                                         f"update at epoch {epoch}, step {steps}", epoch=epoch, step=steps)
                 # the weighted loss of each column's head, 0 for a head absent or unweighted
                 sums += [head_weights.get(head, 0.0) * losses.get(head, 0.0) for head in ("ce", "msml", "fce")]
                 steps += 1

@@ -5,13 +5,31 @@ O(N^2) pairwise definition, the convolution and max-pool oracles are direct
 loops over the defining sum or maximum, and the MSML oracle loops over the
 samples of a batch. The convolution and max-pool oracles take any stride,
 padding or window, while the library runs only the shapes the model uses.
-``peak_memory`` measures what a block allocates, for the memory bounds.
+``peak_memory`` measures what a block allocates, for the memory bounds, and
+``sigmoid_bce`` and ``msml`` are the library's batch losses on one sample.
 """
 
 import contextlib
 import tracemalloc
 
 import numpy as np
+
+from msml.losses import msml_batch, sigmoid_bce_batch
+
+
+def _one_sample(batch_loss, logits, labels):
+    loss, grad = batch_loss(np.asarray(logits)[None], np.asarray(labels)[None])
+    return loss, grad[0]
+
+
+def sigmoid_bce(logits, labels):
+    """One sample's sigmoid BCE summed over classes, and its gradient z - y."""
+    return _one_sample(sigmoid_bce_batch, logits, labels)
+
+
+def msml(logits, labels):
+    """One sample's multi-label softmax loss and its gradient."""
+    return _one_sample(msml_batch, logits, labels)
 
 
 @contextlib.contextmanager

@@ -18,11 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import brute_force_auc
+from helpers import brute_force_auc, msml, sigmoid_bce
 from msml import dataset as ds
 from msml.cli import main as cli_main
 from msml.gradcheck import TOLERANCES, run_scope
-from msml.losses import msml, sigmoid_bce
 from msml.metrics import ScoreMatrix, build_report, macro_auc, roc_auc
 from msml.model import MODELS, ModelConfig, TwoStreamModel
 from msml.train import FoldData, score_fold, train
@@ -222,10 +221,9 @@ def test_symmetry_breaking(default_data):
     folds = default_data["folds"]
     model = TwoStreamModel(ModelConfig(), seed=42)
     train(model, folds["train"], folds["val"], strategy="global", epochs=1, seed=42)
-    diffs = [
-        np.abs(pa[1] - pb[1]).max()
-        for pa, pb in zip(model.stream_a.params("s"), model.stream_b.params("s"))
-    ]
+    stream_a = [value for name, value, _ in model.params() if name.startswith("stream_a.")]
+    stream_b = [value for name, value, _ in model.params() if name.startswith("stream_b.")]
+    diffs = [np.abs(pa - pb).max() for pa, pb in zip(stream_a, stream_b)]
     report("symmetry breaking after one global epoch", max(diffs) > 0.0,
            f"max stream parameter difference {max(diffs):.3e}")
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import loop_msml
+from helpers import loop_msml, msml, sigmoid_bce
 from msml.errors import ConfigError, DimensionError
 from msml.gradcheck import TOLERANCES, check_case
-from msml.losses import LossWeights, msml, msml_batch, sigmoid_bce, sigmoid_bce_batch
+from msml.losses import LossWeights, msml_batch, sigmoid_bce_batch
 from msml.model import ModelConfig, TwoStreamModel
 from msml.ops import sigmoid
 from msml.train import _phases

@@ -19,6 +19,7 @@ from msml.model import (
     Conv2d,
     Model,
     ModelConfig,
+    Slab,
     TwoStreamModel,
     lr_schedule,
     model_from_checkpoint,
@@ -53,8 +54,8 @@ def params_dict(model):
 class TestBuild:
     def test_streams_start_bit_identical(self):
         m = TwoStreamModel(TINY, seed=3)
-        a = dict(p[:2] for p in m.stream_a.params("s"))
-        b = dict(p[:2] for p in m.stream_b.params("s"))
+        a = {name.removeprefix("stream_a."): value for name, value, _ in m.params() if name.startswith("stream_a.")}
+        b = {name.removeprefix("stream_b."): value for name, value, _ in m.params() if name.startswith("stream_b.")}
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
@@ -206,8 +207,6 @@ class TestNoPerCallState:
             m = build(TINY, seed=1)
             assert isinstance(m, Model)
             assert m.heads == heads and m.primary_head == heads[-1]
-            groups = m.param_groups()
-            assert m.params() == groups["backbones"] + groups["stream_heads"] + groups["bilinear_head"]
 
 
 class TestStreamThreads:
@@ -312,7 +311,7 @@ class TestConvBlock:
     @pytest.mark.parametrize("pool", [True, False])
     def test_forward_matches_reference_order(self, pool):
         rng = np.random.default_rng(8)
-        conv = Conv2d(3, 5, 3, rng, pool)
+        conv = Conv2d(Slab(5 * 3 * 3 * 3 + 5), "conv", 3, 5, 3, rng, pool)
         conv.b[...] = rng.normal(size=5)
         x = rng.normal(size=(4, 3, 9, 8))
         out, _ = conv.forward(x)
@@ -325,16 +324,35 @@ class TestConvBlock:
 
     def test_block_output_is_batch_last(self):
         rng = np.random.default_rng(9)
-        out, _ = Conv2d(1, 4, 3, rng, True).forward(rng.normal(size=(6, 1, 8, 8)))
+        out, _ = Conv2d(Slab(4 * 3 * 3 + 4), "conv", 1, 4, 3, rng, True).forward(rng.normal(size=(6, 1, 8, 8)))
         assert out.shape == (6, 4, 4, 4)
         assert out.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
+def reference_adam(params, grads_per_step, lr):
+    """Each tensor of ``params`` after Adam steps on ``grads_per_step``, one tensor at a time."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    params = [p.copy() for p in params]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, step_grads in enumerate(grads_per_step, start=1):
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, m, v, g in zip(params, ms, vs, step_grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return params
+
+
 class TestAdam:
+    SHAPES = [(4, 3), (7,), (2, 3, 3, 3)]
+
     def test_zero_gradient_leaves_params(self):
         p = np.ones((3, 2))
         g = np.zeros((3, 2))
-        opt = Adam([("p", p, g)])
+        opt = Adam(p, g)
         opt.step(0.1)
         np.testing.assert_array_equal(p, np.ones((3, 2)))
 
@@ -343,7 +361,7 @@ class TestAdam:
         # update = -lr * g / (|g| + eps)
         g = np.array([0.3, -2.0, 0.001])
         p = np.zeros(3)
-        opt = Adam([("p", p, g.copy())])
+        opt = Adam(p, g.copy())
         opt.step(1e-2)
         expected = -1e-2 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p, expected, rtol=1e-12)
@@ -355,7 +373,7 @@ class TestAdam:
         def run():
             p = np.ones((4, 3))
             g = np.zeros((4, 3))
-            opt = Adam([("p", p, g)])
+            opt = Adam(p, g)
             for step_grad in grads:
                 g[...] = step_grad
                 opt.step(1e-3)
@@ -365,33 +383,28 @@ class TestAdam:
 
     def test_matches_reference_expression_bit_for_bit(self):
         rng = np.random.default_rng(6)
-        shapes = [(4, 3), (7,), (2, 3, 3, 3)]
-        grads = [[rng.normal(size=s) for s in shapes] for _ in range(6)]
-        params = [rng.normal(size=s) for s in shapes]
-        opt = Adam([(str(i), p.copy(), np.zeros(p.shape)) for i, p in enumerate(params)])
-        ref_p = [p.copy() for p in params]
-        ref_m = [np.zeros(s) for s in shapes]
-        ref_v = [np.zeros(s) for s in shapes]
-        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
-        for t, step_grads in enumerate(grads, start=1):
-            for (_, _, g), step_grad in zip(opt.params, step_grads):
-                g[...] = step_grad
-            opt.step(lr)
-            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-            for p, m, v, g in zip(ref_p, ref_m, ref_v, step_grads):
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            for (_, p, _), ref in zip(opt.params, ref_p):
-                assert p.tobytes() == ref.tobytes()
+        grads = [[rng.normal(size=s) for s in self.SHAPES] for _ in range(6)]
+        params = [rng.normal(size=s) for s in self.SHAPES]
+        opts = [Adam(p.copy(), np.zeros(p.shape)) for p in params]
+        for step_grads in grads:
+            for opt, step_grad in zip(opts, step_grads):
+                opt.grads[...] = step_grad
+                opt.step(3e-3)
+        for opt, ref in zip(opts, reference_adam(params, grads, 3e-3)):
+            assert opt.values.tobytes() == ref.tobytes()
 
-    def test_shape_mismatch(self):
-        opt = Adam([("p", np.zeros((2, 2)), np.zeros((2, 2)))])
-        opt.params[0] = ("p", np.zeros((2, 2)), np.zeros(3))
-        with pytest.raises(DimensionError):
-            opt.step(1e-3)
+    def test_one_adam_over_a_concatenation_matches_the_per_tensor_reference(self):
+        # a model's slab is such a concatenation; the update is elementwise, so its bits are each tensor's own
+        rng = np.random.default_rng(7)
+        grads = [[rng.normal(size=s) for s in self.SHAPES] for _ in range(6)]
+        params = [rng.normal(size=s) for s in self.SHAPES]
+        values = np.concatenate([p.ravel() for p in params])
+        opt = Adam(values, np.zeros_like(values))
+        for step_grads in grads:
+            opt.grads[...] = np.concatenate([g.ravel() for g in step_grads])
+            opt.step(3e-3)
+        ref = np.concatenate([p.ravel() for p in reference_adam(params, grads, 3e-3)])
+        assert values.tobytes() == ref.tobytes()
 
 
 class TestLrSchedule:
@@ -506,6 +519,7 @@ class TestCheckpoints:
     def test_value_count_before_building_matches_the_built_model(self, build, cfg):
         model = build(cfg, seed=1)
         assert model_mod._value_count(cfg, model.kind) == sum(v.size for _, v, _ in model.params())
+        assert model.slab.at == model.slab.values.size  # every entry belongs to a parameter
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -559,6 +573,25 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="parameter head_ce.w holds a NaN or an infinity") as err:
             model_from_checkpoint(path)
         assert err.value.offset == 12 + size + 8 * (before + np.ravel_multi_index((1, 2), m.head_ce.w.shape))
+
+    # the last entry of head_ce.b, the first of head_msml.w after it, and both: the first one poisoned is named
+    BOUNDARY = [[("head_ce.b", -1)], [("head_msml.w", 0)], [("head_ce.b", -1), ("head_msml.w", 0)]]
+
+    @pytest.mark.parametrize("poisoned", BOUNDARY, ids=["last-of-head_ce.b", "first-of-head_msml.w", "both"])
+    def test_non_finite_entry_at_a_parameter_boundary_named_with_its_offset(self, tmp_path, poisoned):
+        m = TwoStreamModel(TINY, seed=9)
+        params = {name: value for name, value, _ in m.params()}
+        for name, i in poisoned:
+            params[name].reshape(-1)[i] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        (size,) = struct.unpack_from("<I", path.read_bytes(), 8)
+        name, i = poisoned[0]
+        names = list(params)
+        index = sum(params[n].size for n in names[: names.index(name)]) + i % params[name].size
+        with pytest.raises(FormatError, match=f"parameter {name} holds a NaN or an infinity") as err:
+            model_from_checkpoint(path)
+        assert err.value.offset == 12 + size + 8 * index
 
     @pytest.mark.parametrize(
         "line",

@@ -210,10 +210,9 @@ class TestSymmetryBreaking:
     def test_streams_diverge_after_one_global_epoch(self, folds):
         model = TwoStreamModel(CFG, seed=6)
         train(model, folds["train"], folds["val"], strategy="global", epochs=1, seed=6)
-        diffs = [
-            np.abs(a[1] - b[1]).max()
-            for a, b in zip(model.stream_a.params("s"), model.stream_b.params("s"))
-        ]
+        stream_a = [value for name, value, _ in model.params() if name.startswith("stream_a.")]
+        stream_b = [value for name, value, _ in model.params() if name.startswith("stream_b.")]
+        diffs = [np.abs(a - b).max() for a, b in zip(stream_a, stream_b)]
         assert max(diffs) > 0.0
 
 
@@ -223,9 +222,9 @@ def snapshots_at_phase_starts(monkeypatch, model, prefixes):
     starts = []
 
     class Recording(msml.train.Adam):
-        def __init__(self, params):
+        def __init__(self, values, grads):
             starts.append(snapshot(model, prefixes))
-            super().__init__(params)
+            super().__init__(values, grads)
 
     monkeypatch.setattr(msml.train, "Adam", Recording)
     return starts
@@ -291,6 +290,23 @@ class TestFailureModes:
             train(model, folds["train"], folds["val"], epochs=1, batch_size=8, seed=11)
         assert (err.value.epoch, err.value.step) == (0, 1)
         assert "epoch 0, step 1" in str(err.value)
+
+    # the last entry of head_ce.b, the first of head_msml.w after it, and both: the first one poisoned is named
+    @pytest.mark.parametrize("poisoned", [["head_ce.b"], ["head_msml.w"], ["head_ce.b", "head_msml.w"]],
+                             ids=["last-of-head_ce.b", "first-of-head_msml.w", "both"])
+    def test_nan_update_at_a_parameter_boundary_names_the_right_parameter(self, folds, monkeypatch, poisoned):
+        real_backward = TwoStreamModel.backward
+
+        def poison(model, *args, **kwargs):
+            real_backward(model, *args, **kwargs)
+            grads = {name: grad.reshape(-1) for name, _, grad in model.params()}
+            for name in poisoned:
+                grads[name][-1 if name == "head_ce.b" else 0] = np.nan
+
+        monkeypatch.setattr(TwoStreamModel, "backward", poison)
+        with pytest.raises(NumericalError, match=f"non-finite parameter {poisoned[0]} after the update") as err:
+            train(TwoStreamModel(CFG, seed=11), folds["train"], folds["val"], epochs=1, batch_size=8, seed=11)
+        assert (err.value.epoch, err.value.step) == (0, 0)
 
     def test_empty_fold_rejected(self, folds):
         model = TwoStreamModel(CFG, seed=12)

@@ -24,10 +24,9 @@ def main(old_out, new_out):
         if (a.kind, a.cfg) != (b.kind, b.cfg):
             print(f"{rel}: model blocks differ")
             continue
-        drift = {name: float(np.max(np.abs(x - y), initial=0.0))
-                 for (name, x, _), (_, y, _) in zip(a.params(), b.params())}
-        worst = max(drift, key=drift.get)
-        print(f"{rel}: max |diff| {drift[worst]:.3e} in {worst}")
+        drift = np.abs(a.slab.values - b.slab.values)
+        worst = int(np.argmax(drift))
+        print(f"{rel}: max |diff| {drift[worst]:.3e} in {a.slab.name_at(worst)}")
 
 
 if __name__ == "__main__":
