@@ -134,40 +134,38 @@ def class_template(class_index, channels, height, width):
 def generate(spec: GeneratorSpec) -> Dataset:
     """Draw the full dataset; deterministic from spec.seed.
 
-    Each sample draws from its own generator seeded with ``seed ^ index``, so
-    generation could be parallelized per sample without changing output. The
-    sample loop makes only those draws: ``1 + num_classes`` uniforms (the
-    normal-or-not draw, then one per class) and, when ``noise_sigma > 0``, its
-    standard-normal pixels. Labels, noise scaling, templates, clipping and the
-    float32 cast then run on ``GENERATE_CHUNK`` samples at a time, so the
-    float64 pixels held at once are one chunk's.
+    Two generators spawned from ``SeedSequence(seed)`` make every random draw:
+    the first draws all samples' ``1 + num_classes`` uniforms in one call (the
+    normal-or-not draw, then one per class), and the second, when
+    ``noise_sigma > 0``, each chunk's standard-normal pixels. Both fill in
+    sample order, so the first m samples of a dataset are the m-sample dataset
+    of its seed, whatever ``GENERATE_CHUNK`` is; two seeds share no sample.
+    Noise scaling, templates, clipping and the float32 cast run on
+    ``GENERATE_CHUNK`` samples at a time, so the float64 pixels held at once
+    are one chunk's.
     """
     spec.validate()
     n, h, w = spec.num_samples, *spec.image_size
+    label_rng, pixel_rng = map(np.random.default_rng, np.random.SeedSequence(spec.seed).spawn(2))
     prev = np.asarray(spec.class_prevalence, dtype=FLOAT)
+    draws = label_rng.random((n, 1 + spec.num_classes))
+    u = draws[:, 1:]
+    pos = u < prev
+    # Boosts re-test the same uniform draw against a raised threshold,
+    # triggered by base positives only (no chaining through boosts).
+    base_pos = pos.copy()
+    for a, b, boost in spec.cooccurrence_pairs:
+        pos[:, b] |= base_pos[:, a] & (u[:, b] < prev[b] + boost)
+    pos[draws[:, 0] < spec.normal_fraction] = False  # a normal sample has no labels
+    labels = pos.astype(np.int8)
     templates = np.stack([class_template(c, spec.channels, h, w) for c in range(spec.num_classes)])
     images = np.empty((n, spec.channels, h, w), dtype=np.float32)
-    labels = np.empty((n, spec.num_classes), dtype=np.int8)
-    draws = np.empty((n, 1 + spec.num_classes), dtype=FLOAT)
     pixels = np.empty((min(n, GENERATE_CHUNK), spec.channels, h, w), dtype=FLOAT)
     for start in range(0, n, GENERATE_CHUNK):
         stop = min(start + GENERATE_CHUNK, n)
         x = pixels[: stop - start]
-        for i in range(start, stop):
-            rng = np.random.default_rng(spec.seed ^ i)
-            rng.random(out=draws[i])
-            if spec.noise_sigma > 0:
-                rng.standard_normal(out=x[i - start])
-        u = draws[start:stop, 1:]
-        pos = u < prev
-        # Boosts re-test the same uniform draw against a raised threshold,
-        # triggered by base positives only (no chaining through boosts).
-        base_pos = pos.copy()
-        for a, b, boost in spec.cooccurrence_pairs:
-            pos[:, b] |= base_pos[:, a] & (u[:, b] < prev[b] + boost)
-        pos[draws[start:stop, 0] < spec.normal_fraction] = False  # a normal sample has no labels
-        labels[start:stop] = pos
         if spec.noise_sigma > 0:  # the bits of full(BACKGROUND_LEVEL) + normal(0, sigma)
+            pixel_rng.standard_normal(out=x)
             x *= spec.noise_sigma
             x += BACKGROUND_LEVEL
         else:

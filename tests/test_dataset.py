@@ -32,6 +32,45 @@ class TestGenerate:
         b = ds.generate(small_spec(seed=12))
         assert not np.array_equal(a.images, b.images)
 
+    def test_neighbouring_seeds_share_no_sample(self):
+        a, b = (ds.generate(small_spec(seed=s)).images.reshape(200, -1) for s in (6, 7))
+        assert not {row.tobytes() for row in a} & {row.tobytes() for row in b}
+
+    def test_first_samples_are_the_smaller_dataset(self):
+        kw = dict(num_groups=37, channels=2, image_size=(16, 12), noise_sigma=0.37, seed=9)
+        big = ds.generate(ds.GeneratorSpec(num_samples=777, **kw))
+        small = ds.generate(ds.GeneratorSpec(num_samples=300, **kw))
+        np.testing.assert_array_equal(big.images[:300], small.images)
+        np.testing.assert_array_equal(big.labels[:300], small.labels)
+
+    def test_output_does_not_depend_on_chunk_size(self, monkeypatch):
+        spec = small_spec(num_samples=600, num_groups=30)
+        a = ds.generate(spec)
+        monkeypatch.setattr(ds, "GENERATE_CHUNK", 7)
+        b = ds.generate(spec)
+        np.testing.assert_array_equal(a.images, b.images)
+        np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_streams_alias_no_stream_seeded_from_the_same_seed(self, monkeypatch):
+        # SeedSequence pads short entropy with zeros: default_rng([s, 0]) is default_rng(s), which
+        # split and the model's init also read, so keys like [s, 0] and [s, 1] would reuse their bits
+        seeds, default_rng = [], np.random.default_rng
+
+        def recording(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        def first_raw(seed):
+            return tuple(default_rng(seed).bit_generator.random_raw(4))
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        ds.generate(small_spec(seed=5))
+        monkeypatch.undo()
+        assert len(seeds) == 2
+        built = {first_raw(seed) for seed in seeds}
+        others = {first_raw(seed) for seed in [5, [5, 17], *([5, k] for k in range(5))]}
+        assert len(built) == 2 and not built & others
+
     def test_noiseless_single_class_is_background_plus_template(self):
         spec = small_spec(noise_sigma=0.0, normal_fraction=0.0, num_samples=50)
         data = ds.generate(spec)
@@ -121,20 +160,20 @@ class TestGenerate:
     # sha256 of images.bin, labels.csv and splits.json as save and save_splits write them
     @pytest.mark.parametrize("kw,digests", [
         (dict(num_samples=600, num_groups=30, seed=5),  # the default boosts, over three chunks
-         ("dfb08f1995c58831cd4f8aae50603b6db5e9864254881234022cb519f2c82394",
-          "133f1ab1a9e0f1cea39cd36995edafe7d7d3285ab80ec4ec34e18585e3013ee5",
+         ("691ddc6edc8d549d48557f0c7df3131de9f8c11d4b43946031d8a802b56a4015",
+          "bdcb1fb410a1908c68aeaf906adc7dec1a8ee8d0c367d131402a4cfef71c5e80",
           "121bebde4f08413add9835f92ef5ab51c6cdefe7c09ddf64b4ffcbc7c222cd92")),
         (dict(num_samples=300, num_groups=20, noise_sigma=0.0, seed=11),
-         ("40091c80b652c1a97f6110280341119b9a83e81d61c4de3ea8674ff85fbcb605",
-          "45c1d75c9ba1be9f11d0f1b0cda8b2aa38ce86117ad9fb165cc02fedd1e2db15",
+         ("82852fe187e18e9bc6f765f37be1c487757212c7f269b2a0a4430bb9abd29a81",
+          "b6e01ada1679be22467f83ec6aad1fd0e85499d10aa4e535e596eaa351425ee8",
           "eeaf04c8b20b8cb1c720891e2a897d03dedf44ca3f120ad83d49b3476b279e7f")),
         (dict(num_samples=300, num_groups=20, normal_fraction=1.0, seed=11),
-         ("90f8bcdccde797bf22720c870fd218a725f22e72120b81861e416e690bf0e1ff",
+         ("d7d07a65ed29bafaba228c9f24105e2a22c6a6640e4c1c7bb808406103d93ed3",
           "1f5e166fe96990302767f580b5ff92b0320150a4ae1b22145a9abad963968ffc",
           "eeaf04c8b20b8cb1c720891e2a897d03dedf44ca3f120ad83d49b3476b279e7f")),
         (dict(num_samples=777, num_groups=37, channels=2, image_size=(16, 12), noise_sigma=0.37, seed=9),
-         ("10175575baa938610c768e5d788ab3de9b423f013233ec9c98c5fdf96233909f",
-          "01c0d1eaebae0ee155375ff66d2ef404eb5a51f9e68653936a5b7c2b9bdf14e4",
+         ("f315bb4e44e8669a66a11191a6abb1719b64361d467cf51f29bceabdf6d62cf6",
+          "fd1f49c6c83b34365c339614002e95c429ba1253b53aa093d8ca4502e43c3aeb",
           "3a9dc09bb77bc5f51e5827914e0ed1b0b7648d1d42750c903bfcc65d82ba5b77")),
     ], ids=["boosts", "noiseless", "all_normal", "777_samples"])
     def test_saved_bytes_are_pinned(self, tmp_path, kw, digests):
