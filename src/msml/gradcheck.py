@@ -6,9 +6,10 @@ returns the arrays to differentiate, a scalar objective of them and the
 analytic gradients; ``TOLERANCES`` is read off it. Op objectives contract the
 op's output with a random weighting; loss objectives are the (N, C) batch
 losses the training step calls; the model objective is the composite loss at
-one parameter coordinate of a miniature two-stream model in training mode,
-without dropout for the first half of the draws and with a fixed dropout mask
-for the second half.
+one parameter coordinate of a miniature model in training mode, without
+dropout for the first half of the draws and with a fixed dropout mask for the
+second half. Even draws build a two-stream model on a 2-sample batch, odd
+draws a baseline on a 3-sample batch, whose backbone runs as halves of 1 and 2.
 
 The error of a draw is the max-norm relative error
 ``max|a - n| / max(max|a|, max|n|, 1e-8)``, worst over its gradient tensors.
@@ -27,7 +28,7 @@ import numpy as np
 from . import bilinear as bl
 from . import ops
 from .losses import LossWeights, msml_batch, sigmoid_bce_batch
-from .model import Linear, ModelConfig, Slab, TwoStreamModel
+from .model import BaselineModel, Linear, ModelConfig, Slab, TwoStreamModel
 from .train import _losses_and_grads, _phases
 
 STEP = 1e-5
@@ -113,11 +114,12 @@ _MODEL_CFG = ModelConfig(
 def _model(rng, i):
     """Composite-loss gradient of a training pass at one random parameter coordinate:
     the head gradients the ``global`` phase's weights give, against the losses summed at those weights.
-    The first half of the draws run without dropout, the rest with dropout mask seed ``i``."""
+    The first half of the draws run without dropout, the rest with dropout mask seed ``i``.
+    Even draws build a two-stream model on 2 samples, odd draws a baseline on 3."""
     cfg = _MODEL_CFG if i >= MODEL_DRAWS // 2 else dataclasses.replace(_MODEL_CFG, dropout_rate=0.0)
-    model = TwoStreamModel(cfg, seed=4)
-    batch = rng.normal(size=(2, 1, 8, 8))
-    labels = rng.integers(0, 2, size=(2, 4))
+    model, n = (TwoStreamModel(cfg, seed=4), 2) if i % 2 == 0 else (BaselineModel(cfg, seed=4), 3)
+    batch = rng.normal(size=(n, 1, 8, 8))
+    labels = rng.integers(0, 2, size=(n, 4))
     weights = _phases("global", 1, model, LossWeights())[0][1]
     out = model.forward(batch, training=True, seed=i)
     model.backward(out.tape, _losses_and_grads(out, labels, weights)[1])

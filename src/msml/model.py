@@ -97,17 +97,18 @@ def _num_threads():
         if workers < 1:
             raise ConfigError(f"MSML_THREADS must be an integer >= 1, got {env!r}")
         return workers
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def worker_pool():
     """The process's one thread pool, or None when ``MSML_THREADS=1`` asks for
     sequential runs.
 
-    It is built on first use with ``MSML_THREADS`` workers (default: every
-    core) and lives as long as the process. Training runs one stream of a
-    two-stream pass on it and ``score_fold`` its batches; a task on the pool
-    never submits to it, so no task waits for a free worker.
+    It is built on first use with ``MSML_THREADS`` workers (default: the CPUs
+    the process may run on) and lives as long as the process. Training runs
+    one stream of a two-stream pass, or the first half of a baseline batch,
+    on it, and ``score_fold`` its batches; a task on the pool never submits
+    to it, so no task waits for a free worker.
     """
     global _pool
     workers = _num_threads()
@@ -120,8 +121,9 @@ def worker_pool():
 
 
 def _both(pool, task_a, task_b):
-    """(task_a(), task_b()), with task_a on ``pool`` while task_b runs here.
-    Returns, or raises, only once both have finished."""
+    """(task_a(), task_b()), with task_a on ``pool`` (or here, if None) while task_b runs here.
+    Returns, or raises, only once both have finished. The tasks must write no memory in
+    common, so a backbone backward returns its gradients for the caller to add."""
     if pool is None:
         return task_a(), task_b()
     future = pool.submit(task_a)
@@ -130,6 +132,15 @@ def _both(pool, task_a, task_b):
     finally:
         result_a = future.result()
     return result_a, result_b
+
+
+def _halves(pool, n, task):
+    """[task(rows, i)] over the row slices of an n-row batch: the halves [:n // 2] and [n // 2:],
+    run by ``_both`` with the first on ``pool``, or all rows, run here, when n is 1."""
+    if n < 2:
+        return [task(slice(None), 0)]
+    cut = n // 2
+    return _both(pool, lambda: task(slice(cut), 0), lambda: task(slice(cut, None), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +220,14 @@ class Conv2d:
         return out, (conv_cache, pool_cache, relu_mask)
 
     def backward(self, dout, cache, input_grad=True):
+        """(dx, (dw, db)); the gradients are returned, not added into ``self.dw`` and ``self.db``."""
         conv_cache, pool_cache, relu_mask = cache
         dout = ops.relu_backward(dout, relu_mask)
-        self.db += dout.sum(axis=(0, 2, 3))
+        db = dout.sum(axis=(0, 2, 3))
         if pool_cache is not None:
             dout = ops.maxpool2d_backward(dout, pool_cache)
         dx, dw = ops.conv2d_backward(dout, conv_cache, input_grad)
-        self.dw += dw
-        return dx
+        return dx, (dw, db)
 
 
 class Backbone:
@@ -239,9 +250,18 @@ class Backbone:
         return x, tape if training else None
 
     def backward(self, dout, tape):
-        """Accumulate the parameter gradients; the input image gets no gradient."""
+        """Each block's (dw, db), which ``accumulate`` adds in; the input image gets no gradient.
+        Writing no parameter gradient, two passes of one backbone can run side by side."""
+        block_grads = [None] * len(self.convs)
         for i in reversed(range(len(self.convs))):
-            dout = self.convs[i].backward(dout, tape[i], input_grad=i > 0)
+            dout, block_grads[i] = self.convs[i].backward(dout, tape[i], input_grad=i > 0)
+        return block_grads
+
+    def accumulate(self, block_grads):
+        """Add ``backward``'s per-block (dw, db) into the parameter gradients."""
+        for conv, (dw, db) in zip(self.convs, block_grads):
+            conv.dw += dw
+            conv.db += db
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +362,10 @@ class TwoStreamModel(Model):
             g_fa, g_fb = bl.bilinear_features_backward(du, feat_cache)
             d_fa += g_fa
             d_fb += g_fb
-        _both(worker_pool(), lambda: self.stream_a.backward(d_fa, tape_a),
-              lambda: self.stream_b.backward(d_fb, tape_b))
+        grads_a, grads_b = _both(worker_pool(), lambda: self.stream_a.backward(d_fa, tape_a),
+                                 lambda: self.stream_b.backward(d_fb, tape_b))
+        self.stream_a.accumulate(grads_a)
+        self.stream_b.accumulate(grads_b)
 
 
 class BaselineModel(Model):
@@ -362,17 +384,25 @@ class BaselineModel(Model):
         self.bilinear_start = self.slab.at  # no bilinear head: it would begin at the end
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
+        """The backbone runs the batch's halves side by side, the first on the pool in training;
+        eval passes, which score_fold runs on the pool, split alike but run both halves here,
+        so they round as training does. The head runs once on the joined feature maps."""
         batch = _check_batch(batch, self.cfg)
-        fa, backbone_tape = self.backbone.forward(batch, training)
-        ce, head_cache = self.head_ce.forward(fa, training, [seed, 0])
-        tape = (backbone_tape, head_cache) if training else None
+        parts = _halves(worker_pool() if training else None, len(batch),
+                        lambda rows, i: self.backbone.forward(batch[rows], training))
+        ce, head_cache = self.head_ce.forward(np.concatenate([f for f, _ in parts]), training, [seed, 0])
+        tape = ([t for _, t in parts], head_cache) if training else None
         return ForwardPass({"ce": ce}, tape)
 
     def backward(self, tape, grads):
         if "ce" not in grads:
             return
-        backbone_tape, head_cache = tape
-        self.backbone.backward(self.head_ce.backward(grads["ce"], head_cache), backbone_tape)
+        backbone_tapes, head_cache = tape
+        d_f = self.head_ce.backward(grads["ce"], head_cache)
+        # the backward of a sum over samples: the halves' gradients, added first half first
+        for block_grads in _halves(worker_pool(), len(d_f),
+                                   lambda rows, i: self.backbone.backward(d_f[rows], backbone_tapes[i])):
+            self.backbone.accumulate(block_grads)
 
 
 MODELS = {model_cls.kind: model_cls for model_cls in (TwoStreamModel, BaselineModel)}

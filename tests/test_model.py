@@ -210,49 +210,102 @@ class TestNoPerCallState:
 
 
 class TestStreamThreads:
-    """A training pass runs stream_a on the worker pool and stream_b on the
-    caller; an eval pass, which score_fold already runs on the pool, runs both
-    on the caller."""
+    """A training pass runs stream_a, or the first half of a baseline batch, on
+    the worker pool and stream_b, or the second half, on the caller; an eval
+    pass, which score_fold already runs on the pool, runs both on the caller."""
 
-    def threads_of_stream_passes(self, monkeypatch, training):
+    def threads_of_backbone_passes(self, monkeypatch, build, training):
+        """{(part, method, ran here)} over the backbone passes of a 3-row batch. The part
+        is the stream, "a" or "b", of a two-stream model, or the half of a baseline's
+        batch: "first" (1 row) or "second" (2 rows)."""
         calls = []
         for method in ("forward", "backward"):
             real = getattr(Backbone, method)
 
-            def record(stream, *args, real=real, method=method):
-                calls.append((stream, method, threading.get_ident()))
-                return real(stream, *args)
+            def record(backbone, x, *args, real=real, method=method):
+                calls.append((backbone, len(x), method, threading.get_ident()))
+                return real(backbone, x, *args)
 
             monkeypatch.setattr(Backbone, method, record)
-        m = TwoStreamModel(TINY, seed=1)
+        m = build(TINY, seed=1)
         rng = np.random.default_rng(10)
-        out = m.forward(rng.normal(size=(2, 1, 8, 8)), training=training, seed=3)
+        out = m.forward(rng.normal(size=(3, 1, 8, 8)), training=training, seed=3)
         if training:  # an eval pass keeps no tape to run backward on
-            m.backward(out.tape, {head: rng.normal(size=(2, TINY.num_classes)) for head in m.heads})
+            m.backward(out.tape, {head: rng.normal(size=(3, TINY.num_classes)) for head in m.heads})
         here = threading.get_ident()
-        return {(("a" if stream is m.stream_a else "b"), method, thread == here)
-                for stream, method, thread in calls}
+
+        def part(backbone, rows):
+            if build is BaselineModel:
+                return {1: "first", 2: "second"}[rows]
+            return "a" if backbone is m.stream_a else "b"
+
+        return {(part(backbone, rows), method, thread == here) for backbone, rows, method, thread in calls}
 
     def test_training_runs_stream_a_on_the_pool(self, monkeypatch):
         monkeypatch.setenv("MSML_THREADS", "2")
-        assert self.threads_of_stream_passes(monkeypatch, training=True) == {
+        assert self.threads_of_backbone_passes(monkeypatch, TwoStreamModel, training=True) == {
             ("a", "forward", False), ("b", "forward", True),
             ("a", "backward", False), ("b", "backward", True)}
 
     def test_eval_forward_runs_both_streams_here(self, monkeypatch):
         monkeypatch.setenv("MSML_THREADS", "2")
-        assert self.threads_of_stream_passes(monkeypatch, training=False) == {
+        assert self.threads_of_backbone_passes(monkeypatch, TwoStreamModel, training=False) == {
             ("a", "forward", True), ("b", "forward", True)}
+
+    def test_baseline_training_runs_the_first_half_on_the_pool(self, monkeypatch):
+        monkeypatch.setenv("MSML_THREADS", "2")
+        assert self.threads_of_backbone_passes(monkeypatch, BaselineModel, training=True) == {
+            ("first", "forward", False), ("second", "forward", True),
+            ("first", "backward", False), ("second", "backward", True)}
+
+    def test_baseline_eval_forward_runs_both_halves_here(self, monkeypatch):
+        monkeypatch.setenv("MSML_THREADS", "2")
+        assert self.threads_of_backbone_passes(monkeypatch, BaselineModel, training=False) == {
+            ("first", "forward", True), ("second", "forward", True)}
 
     def test_one_thread_runs_everything_here(self, monkeypatch):
         monkeypatch.setenv("MSML_THREADS", "1")
-        assert {here for _, _, here in self.threads_of_stream_passes(monkeypatch, training=True)} == {True}
+        for build in (TwoStreamModel, BaselineModel):
+            assert {here for _, _, here in self.threads_of_backbone_passes(monkeypatch, build, training=True)} == {True}
+
+    def test_default_pool_size_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("MSML_THREADS", raising=False)
+        monkeypatch.setattr(model_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert model_mod.worker_pool() is None
+
+    def test_default_pool_size_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("MSML_THREADS", raising=False)
+        monkeypatch.delattr(model_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(model_mod.os, "cpu_count", lambda: None)
+        assert model_mod.worker_pool() is None
 
     @pytest.mark.parametrize("value", ["0", "-4", "two"])
     def test_thread_count_below_one_or_not_an_integer_rejected(self, monkeypatch, value):
         monkeypatch.setenv("MSML_THREADS", value)
         with pytest.raises(ConfigError, match=f"MSML_THREADS must be an integer >= 1, got '{value}'"):
             model_mod.worker_pool()
+
+
+class TestBaselineHalves:
+    """A baseline batch of n >= 2 rows runs its backbone as the halves [:n // 2]
+    and [n // 2:]; a batch of one row runs it once, whole."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step_gradient_is_the_sum_of_the_samples_gradients(self, n):
+        rng = np.random.default_rng(16)
+        batch, g = rng.normal(size=(n, 1, 8, 8)), rng.normal(size=(n, TINY.num_classes))
+        m = BaselineModel(dataclasses.replace(TINY, dropout_rate=0.0), seed=2)  # no mask that depends on n
+        out = m.forward(batch, training=True, seed=3)
+        backbone_tapes, _ = out.tape
+        assert len(backbone_tapes) == min(n, 2)
+        m.zero_grads()
+        m.backward(out.tape, {"ce": g})
+        assert np.any(m.backbone.convs[0].dw != 0)
+        step = m.slab.grads.copy()
+        m.zero_grads()
+        for i in range(n):
+            m.backward(m.forward(batch[i : i + 1], training=True, seed=3).tape, {"ce": g[i : i + 1]})
+        np.testing.assert_allclose(step, m.slab.grads, rtol=1e-10, atol=1e-13)
 
 
 class TestEvalPass:

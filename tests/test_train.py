@@ -154,24 +154,32 @@ class TestDeterminism:
         assert long < 8 * 2**20
         assert abs(long - short) <= 0.1 * short
 
-    def test_training_independent_of_thread_count(self, folds, monkeypatch):
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
+    def test_training_independent_of_thread_count(self, folds, monkeypatch, build):
         def run(threads):
             if threads is None:
                 monkeypatch.delenv("MSML_THREADS", raising=False)
             else:
                 monkeypatch.setenv("MSML_THREADS", threads)
-            model = TwoStreamModel(CFG, seed=8)
+            model = build(CFG, seed=8)
             history = train(model, folds["train"], folds["val"], strategy="local", epochs=3, seed=8)
             return [h.row() for h in history], {k: v.tobytes() for k, v in snapshot(model).items()}
 
         default = run(None)
         assert run("1") == default
+        assert run("3") == default
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # many more thread switches inside each pass
         try:
             assert run("2") == default
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
+    def test_train_finishes_on_a_last_batch_of_one(self, folds, build):
+        fold = FoldData(folds["train"].images[:17], folds["train"].labels[:17])
+        history = train(build(CFG, seed=3), fold, folds["val"], epochs=1, batch_size=16, seed=3)
+        assert len(history) == 1 and np.isfinite(history[0].alpha_ce)
 
 
 class TestThreadPolicy:

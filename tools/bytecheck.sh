@@ -1,5 +1,5 @@
 #!/bin/sh
-# usage: bytecheck.sh SRC_TREE OUT_DIR -- two gen-data (noisy; noiseless with a part-chunk tail), four trains (every strategy and the baseline), five evals (every head); sha256 of every output
+# usage: bytecheck.sh SRC_TREE OUT_DIR -- two gen-data (noisy; noiseless with a part-chunk tail), five trains (every strategy, and the baseline on the pool and on one thread), five evals (every head); sha256 of every output
 # Every command runs inside OUT_DIR on relative paths, so no output (resolved_config.txt names the dataset and
 # out_dir) depends on where OUT_DIR is, and two trees hashed into different directories can be compared.
 set -e
@@ -17,6 +17,9 @@ for run in two_stream:global two_stream:local two_stream:local_fixed baseline:gl
     "$model" "$strategy" "$model" "$strategy" > "cfg_${model}_${strategy}.txt"
   msml train --config "cfg_${model}_${strategy}.txt"
 done
+# training must not depend on the thread count: this model.ckpt and history.csv must hash like run_baseline_global's
+sed 's/^out_dir = .*/out_dir = run_baseline_global_1thread/' cfg_baseline_global.txt > cfg_baseline_global_1thread.txt
+MSML_THREADS=1 msml train --config cfg_baseline_global_1thread.txt
 msml eval --checkpoint run_two_stream_global/model.ckpt --data data --head fce --out eval_fce/report.json
 # scoring must not depend on the thread count: this report must hash like eval_fce's
 MSML_THREADS=1 msml eval --checkpoint run_two_stream_global/model.ckpt --data data --head fce --out eval_fce_1thread/report.json
