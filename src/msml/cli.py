@@ -5,10 +5,10 @@ Subcommands: ``gen-data`` (synthesize a dataset with grouped splits),
 split and write the metrics report), ``gradcheck`` (finite-difference
 verification suites).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 numerical failure during training. Output files are written atomically
-(temp file + rename), and every file-writing command leaves its resolved
-configuration beside its outputs.
+Exit codes: 0 success, 1 a failed ``gradcheck``, 2 a usage or config error or a
+path the command cannot read or write, 3 numerical failure during training.
+Output files are written atomically (temp file + rename), and every
+file-writing command leaves its resolved configuration beside its outputs.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ class ExperimentConfig:
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         self.loss_weights()  # rejects a negative or non-finite alpha or beta
+        if self.model == "baseline" and (self.strategy, self.alpha, self.beta) != ("global", LossWeights.alpha, LossWeights.beta):
+            raise ConfigError(f"a baseline keeps the default strategy, alpha and beta; got {self.strategy}, {self.alpha}, {self.beta}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.dataset or not self.out_dir:
@@ -84,8 +86,6 @@ class ExperimentConfig:
 def load_folds(data_dir, names=None):
     """The named folds (all by default), normalized with train-fold statistics."""
     data_dir = Path(data_dir)
-    if not (data_dir / "images.bin").exists():
-        raise DataError(f"no dataset at {data_dir}")
     data = ds.load(data_dir)
     folds_idx = ds.load_splits(data_dir / "splits.json", len(data))
     names = tuple(folds_idx) if names is None else names
@@ -107,7 +107,7 @@ def load_folds(data_dir, names=None):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    spec = ds.parse_fields(ds.GeneratorSpec, Path(args.spec).read_text())
+    spec = ds.parse_fields(ds.GeneratorSpec, ds.decode_utf8(Path(args.spec).read_bytes(), args.spec))
     out_dir = Path(args.out)
     folds = ds.split(spec.group_ids, spec.seed)  # too few groups exits before a sample is drawn
     data = ds.generate(spec)
@@ -119,7 +119,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = ds.parse_fields(ExperimentConfig, Path(args.config).read_text())
+    cfg = ds.parse_fields(ExperimentConfig, ds.decode_utf8(Path(args.config).read_bytes(), args.config))
     folds, class_names = load_folds(cfg.dataset, ("train", "val"))
     model_cfg = cfg.model_config(len(class_names), folds["train"].images.shape[1])
     model = MODELS[cfg.model](model_cfg, cfg.seed)
@@ -167,7 +167,7 @@ def cmd_gradcheck(args) -> int:
     scopes = SCOPES if args.scope == "all" else (args.scope,)
     all_ok = True
     for scope in scopes:
-        for name, err in run_scope(scope, perturb=args.perturb).items():
+        for name, err in run_scope(scope).items():
             status = "ok" if err <= TOLERANCES[name] else "FAIL"
             all_ok &= status == "ok"
             print(f"{scope:10s} {name:16s} max rel err {err:.3e}  (tol {TOLERANCES[name]:.0e})  {status}")
@@ -201,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--scope", default="all", choices=SCOPES + ("all",))
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="bias added to analytic gradients (harness self-test)")
     p.set_defaults(func=cmd_gradcheck)
     return parser
 
@@ -219,7 +217,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (MsmlError, FileNotFoundError, NotADirectoryError) as exc:
+    except (MsmlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

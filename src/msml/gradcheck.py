@@ -14,9 +14,7 @@ draws a baseline on a 3-sample batch, whose backbone runs as halves of 1 and 2.
 The error of a draw is the max-norm relative error
 ``max|a - n| / max(max|a|, max|n|, 1e-8)``, worst over its gradient tensors.
 ``check_case`` scores one draw and ``run_scope`` the worst draw of each case
-of a scope; the CLI and the tests call only these two. ``perturb`` injects a
-bias into every analytic gradient; it exists so the harness can prove it
-would catch a wrong gradient.
+of a scope; the CLI and the tests call only these two.
 """
 
 from __future__ import annotations
@@ -175,13 +173,13 @@ TOLERANCES = {name: tol for cases in CASES.values() for name, (_, tol, _) in cas
 SCOPES = tuple(CASES)
 
 
-def check_case(scope, name, i, perturb=0.0):
+def check_case(scope, name, i):
     """Relative error of draw ``i`` of one case, worst over its gradient tensors."""
     arrays, objective, grads = CASES[scope][name][2](np.random.default_rng([*name.encode(), i]), i)
-    return max(rel_error(g + perturb, numerical_gradient(objective, a)) for a, g in zip(arrays, grads))
+    return max(rel_error(g, numerical_gradient(objective, a)) for a, g in zip(arrays, grads))
 
 
-def run_scope(scope, perturb=0.0):
+def run_scope(scope):
     """Case name -> worst error over the case's draws, for every case of ``scope``."""
-    return {name: max(check_case(scope, name, i, perturb) for i in range(draws))
+    return {name: max(check_case(scope, name, i) for i in range(draws))
             for name, (draws, _, _) in CASES[scope].items()}

@@ -290,10 +290,10 @@ def _check_batch(batch, cfg: ModelConfig):
 
 
 class Model:
-    """What both models share. Subclasses set ``kind``, ``heads``, ``primary_head`` and ``bilinear_start``,
-    the slab entry where the bilinear head begins. They define ``forward(batch, training, seed)``, which
-    returns a ForwardPass with one logits entry per head, and ``backward(tape, grads)``, which takes a
-    dict head -> logit gradient. The loss weights belong to training."""
+    """What both models share. Subclasses set ``kind``, ``heads`` and ``primary_head``; the two-stream
+    model also sets ``bilinear_start``, the slab entry where its bilinear head begins. They define
+    ``forward(batch, training, seed)``, which returns a ForwardPass with one logits entry per head, and
+    ``backward(tape, grads)``, which takes a dict head -> logit gradient. The loss weights belong to training."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg.validate()
@@ -381,7 +381,6 @@ class BaselineModel(Model):
         self.backbone = Backbone(self.slab, "backbone", cfg, np.random.default_rng([seed, 0]))
         rng = np.random.default_rng([seed, 1])
         self.head_ce = Linear(self.slab, "head_ce", d * h * w, cfg.num_classes, rng, cfg.dropout_rate)
-        self.bilinear_start = self.slab.at  # no bilinear head: it would begin at the end
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         """The backbone runs the batch's halves side by side, the first on the pool in training;

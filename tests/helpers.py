@@ -5,8 +5,9 @@ O(N^2) pairwise definition, the convolution and max-pool oracles are direct
 loops over the defining sum or maximum, and the MSML oracle loops over the
 samples of a batch. The convolution and max-pool oracles take any stride,
 padding or window, while the library runs only the shapes the model uses.
-``peak_memory`` measures what a block allocates, for the memory bounds, and
-``sigmoid_bce`` and ``msml`` are the library's batch losses on one sample.
+``peak_memory`` measures what a block allocates, for the memory bounds,
+``sigmoid_bce`` and ``msml`` are the library's batch losses on one sample, and
+``bias_gradients`` makes the gradient checks see a wrong backward pass.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 
+from msml.gradcheck import CASES
 from msml.losses import msml_batch, sigmoid_bce_batch
 
 
@@ -130,3 +132,13 @@ def loop_msml(x, y):
         grad[i, pos] = (e_pos / den - 1.0) / n_pos
         grad[i, neg] = np.exp(xn - neg_max) * float(np.sum(np.exp(neg_max - shift) / den)) / n_pos
     return total / x.shape[0], grad / x.shape[0]
+
+
+def bias_gradients(monkeypatch, scope, bias):
+    """Add ``bias`` to every analytic gradient that the gradcheck cases of ``scope`` draw."""
+    for name, (draws, tol, draw) in CASES[scope].items():
+        def biased(rng, i, draw=draw):
+            arrays, objective, grads = draw(rng, i)
+            return arrays, objective, tuple(g + bias for g in grads)
+
+        monkeypatch.setitem(CASES[scope], name, (draws, tol, biased))

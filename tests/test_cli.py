@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import peak_memory
+from helpers import bias_gradients, peak_memory
 from msml import dataset as ds
 from msml.cli import ExperimentConfig, main
 from msml.errors import ConfigError
@@ -259,6 +259,19 @@ class TestTrain:
         config.write_text("bogus_key = 1\n")
         assert main(["train", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("line", ["strategy = local", "strategy = local_fixed", "alpha = 0.5", "beta = 0"])
+    def test_baseline_key_it_ignores_exits_2_before_the_dataset_is_read(self, tmp_path, capsys, line):
+        text = CONFIG_TEMPLATE.format(
+            data_dir=tmp_path / "absent", model="baseline", strategy="global", epochs=1, out_dir=tmp_path / "o"
+        ).replace("strategy = global\n", "") + line + "\n"
+        config = tmp_path / "c.txt"
+        config.write_text(text)
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert line.split()[0] in err and "absent" not in err
+        # the two-stream model honours every one of these keys
+        ds.parse_fields(ExperimentConfig, text.replace("model = baseline", "model = two_stream"))
+
 
 class TestEval:
     def test_report_written_and_consistent(self, data_dir, trained_dir, tmp_path):
@@ -432,15 +445,59 @@ class TestEval:
         assert "MSML_THREADS must be an integer >= 1" in err and "absent" not in err
 
 
+class TestUnusableInput:
+    """A path a command cannot read or write, or a text file that is not UTF-8, exits 2 with no traceback."""
+
+    @pytest.mark.parametrize("case", ["spec-is-a-directory", "config-is-a-directory", "checkpoint-is-a-directory",
+                                      "report-is-a-directory", "dataset-out-is-a-file", "spec-not-utf8",
+                                      "config-not-utf8"])
+    def test_exits_2_naming_the_path_or_offset(self, data_dir, trained_dir, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes(SPEC_TEXT.encode() + b"# caf\xe9\n")  # Latin-1, not UTF-8
+        config = tmp_path / "c.txt"
+        config.write_bytes(CONFIG_TEMPLATE.format(
+            data_dir=data_dir, model="two_stream", strategy="global", epochs=1, out_dir=tmp_path / "o"
+        ).encode() + b"# r\xe9sum\xe9\n")
+        good_spec, taken = tmp_path / "good_spec.txt", tmp_path / "taken"
+        good_spec.write_text(SPEC_TEXT)
+        taken.write_text("")
+
+        def evaluate(checkpoint, out):
+            return ["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir), "--out", str(out)]
+
+        argv, named = {
+            "spec-is-a-directory": (["gen-data", "--spec", str(folder), "--out", str(tmp_path / "x")], str(folder)),
+            "config-is-a-directory": (["train", "--config", str(folder)], str(folder)),
+            "checkpoint-is-a-directory": (evaluate(folder, tmp_path / "r.json"), str(folder)),
+            "report-is-a-directory": (evaluate(trained_dir / "model.ckpt", folder), str(folder)),
+            "dataset-out-is-a-file": (["gen-data", "--spec", str(good_spec), "--out", str(taken)], str(taken)),
+            "spec-not-utf8": (["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")],
+                              f"{spec} is not UTF-8: invalid continuation byte (at byte offset {len(SPEC_TEXT) + 5})"),
+            "config-not-utf8": (["train", "--config", str(config)],
+                                f"{config} is not UTF-8: invalid continuation byte (at byte offset {config.stat().st_size - 6})"),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists() and not (tmp_path / "o").exists() and not (tmp_path / "r.json").exists()
+        assert list(folder.iterdir()) == [] and list(tmp_path.glob("**/*.tmp")) == []
+
+
 class TestGradcheckCommand:
     def test_losses_scope_passes(self, capsys):
         assert main(["gradcheck", "--scope", "losses"]) == 0
         out = capsys.readouterr().out
         assert "sigmoid_bce" in out and "msml" in out
 
-    def test_perturbed_gradients_fail(self):
-        # harness self-test: a deliberately wrong gradient must be caught
-        assert main(["gradcheck", "--scope", "losses", "--perturb", "1e-3"]) == 1
+    def test_perturbed_gradients_fail(self, monkeypatch, capsys):
+        # harness self-test: a deliberately wrong gradient must be caught, and a right one pass
+        assert main(["gradcheck", "--scope", "losses"]) == 0
+        bias_gradients(monkeypatch, "losses", 1e-3)
+        assert main(["gradcheck", "--scope", "losses"]) == 1
+        assert capsys.readouterr().out.count("FAIL") == 2
+        assert main(["gradcheck", "--perturb", "1e-3"]) == 2  # no command-line knob biases a gradient
 
     def test_bad_scope_exits_2(self):
         assert main(["gradcheck", "--scope", "everything"]) == 2

@@ -60,15 +60,17 @@ def smallest_input(blocks):
 @st.composite
 def experiment_configs(draw):
     blocks = draw(conv_blocks)
+    model = draw(st.sampled_from(("two_stream", "baseline")))
+    two_stream = model == "two_stream"  # a baseline takes only the default strategy, alpha and beta
     return ExperimentConfig(
         dataset=draw(words),
-        model=draw(st.sampled_from(("two_stream", "baseline"))),
-        strategy=draw(st.sampled_from(STRATEGIES)),
+        model=model,
+        strategy=draw(st.sampled_from(STRATEGIES)) if two_stream else ExperimentConfig.strategy,
         epochs=draw(st.integers(1, 100)),
         batch_size=draw(st.integers(1, 512)),
         learning_rate=draw(floats(1e-9, 1.0)),
-        alpha=draw(floats(0.0, 10.0)),
-        beta=draw(floats(0.0, 10.0)),
+        alpha=draw(floats(0.0, 10.0)) if two_stream else ExperimentConfig.alpha,
+        beta=draw(floats(0.0, 10.0)) if two_stream else ExperimentConfig.beta,
         seed=draw(st.integers(0, 2**31)),
         crop_size=draw(st.integers(smallest_input(blocks), 256)),
         conv_blocks=blocks,
