@@ -110,6 +110,7 @@ def cmd_gen_data(args) -> int:
     spec = ds.parse_fields(ds.GeneratorSpec, ds.decode_utf8(Path(args.spec).read_bytes(), args.spec))
     out_dir = Path(args.out)
     folds = ds.split(spec.group_ids, spec.seed)  # too few groups exits before a sample is drawn
+    out_dir.mkdir(parents=True, exist_ok=True)  # and so does an --out that cannot be a directory
     data = ds.generate(spec)
     ds.save(data, out_dir)
     ds.save_splits(folds, out_dir / "splits.json")

@@ -301,9 +301,8 @@ def decode_utf8(data: bytes, what, offset=0):
 
 
 def save(dataset: Dataset, directory):
-    """Write images.bin and labels.csv under ``directory`` (temp + rename)."""
+    """Write images.bin and labels.csv into the existing ``directory`` (temp + rename)."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     n, channels, h, w = dataset.images.shape
     pixels = np.ascontiguousarray(dataset.images, dtype="<f4")  # the images themselves, when already float32
     write_atomic(directory / "images.bin", MAGIC + struct.pack("<4I", n, channels, h, w), pixels)

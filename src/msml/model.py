@@ -251,10 +251,11 @@ class Backbone:
 
     def backward(self, dout, tape):
         """Each block's (dw, db), which ``accumulate`` adds in; the input image gets no gradient.
-        Writing no parameter gradient, two passes of one backbone can run side by side."""
+        Writing no parameter gradient, two passes of one backbone can run side by side. It pops
+        each block's cache, freeing it before the next block's backward, and leaves ``tape`` empty."""
         block_grads = [None] * len(self.convs)
         for i in reversed(range(len(self.convs))):
-            dout, block_grads[i] = self.convs[i].backward(dout, tape[i], input_grad=i > 0)
+            dout, block_grads[i] = self.convs[i].backward(dout, tape.pop(), input_grad=i > 0)
         return block_grads
 
     def accumulate(self, block_grads):
@@ -271,7 +272,7 @@ class Backbone:
 @dataclass
 class ForwardPass:
     logits: dict  # head -> (N, C) logits, in the model's ``heads`` order
-    tape: tuple | None  # all that backward needs (None in eval mode); models keep no per-call state
+    tape: tuple | None  # all backward needs (None in eval mode), and it empties the backbone tapes; models keep no per-call state
 
     def __getattr__(self, name):
         """``logits_<head>``: that head's logits, or None for a head the model

@@ -2,7 +2,8 @@
 
 Every layer op comes as an explicit forward/backward pair (no taped
 autodiff). Forward returns ``(out, cache)``; backward consumes the upstream
-gradient and the cache and returns gradients for the forward inputs. All
+gradient and the cache and returns gradients for the forward inputs. A cache
+serves one backward (``conv2d_backward`` writes over its column matrix). All
 analytic gradients are finite-difference checked by ``msml.gradcheck``.
 ``sigmoid`` and ``maxpool2d`` are forwards only: the BCE gradient in logit
 space is z - y, and ``maxpool2d`` gives eval passes the pooled maxima without
@@ -82,7 +83,8 @@ def conv2d_forward(x, kernel):
 
 def conv2d_backward(dout, cache, input_grad=True):
     """Return (dx, dkernel); dx is None when ``input_grad`` is false. Batch-last
-    ``dout`` is read without a copy, and dx comes back batch-last."""
+    ``dout`` is read without a copy, and dx comes back batch-last. dx's columns
+    overwrite the cached ones, so a cache serves one backward unless dx is None."""
     cols, kernel, (n, c_in, h, w) = cache
     c_out, _, k, _ = kernel.shape
     pad = k // 2
@@ -95,7 +97,7 @@ def conv2d_backward(dout, cache, input_grad=True):
     dk = dk.reshape(kernel.shape)
     if not input_grad:
         return None, dk
-    dcols = (kernel.reshape(c_out, -1).T @ dmat).reshape(c_in, k, k, h, w, n)
+    dcols = np.matmul(kernel.reshape(c_out, -1).T, dmat, out=cols).reshape(c_in, k, k, h, w, n)
     dxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad, n), dtype=FLOAT)
     for a in range(k):
         for b in range(k):

@@ -118,6 +118,18 @@ class TestGenData:
         assert not (tmp_path / "x").exists()
         assert calls == []
 
+    def test_out_that_is_a_file_exits_2_before_generating(self, tmp_path, capsys, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("gen-data drew the dataset before it made --out")
+
+        monkeypatch.setattr(ds, "generate", refuse)
+        spec_file, taken = tmp_path / "spec.txt", tmp_path / "taken"
+        spec_file.write_text(SPEC_TEXT)
+        taken.write_text("")
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+
     def test_missing_spec_exits_2(self, tmp_path):
         assert main(["gen-data", "--spec", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x")]) == 2

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import peak_memory
 from msml import model as model_mod
 from msml import ops
 from msml.errors import ConfigError, DimensionError, FormatError
@@ -201,6 +202,36 @@ class TestNoPerCallState:
 
         for a, b in zip(grads_after([first]), grads_after([first, second])):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("build", [TwoStreamModel, BaselineModel], ids=lambda model: f"build_{model.kind}")
+    def test_backward_empties_the_backbone_tapes(self, build):
+        rng = np.random.default_rng(11)
+        m = build(TINY, seed=2)
+        out = m.forward(rng.normal(size=(3, 1, 8, 8)), training=True, seed=4)
+        m.backward(out.tape, {head: rng.normal(size=(3, TINY.num_classes)) for head in m.heads})
+        # the streams' tapes, or the baseline's two halves' tapes
+        tapes = list(out.tape[1:3]) if build is TwoStreamModel else out.tape[0]
+        assert len(tapes) == 2 and all(tape == [] for tape in tapes)
+
+    @pytest.mark.parametrize("build,bound", [(TwoStreamModel, 16), (BaselineModel, 8)],
+                             ids=["build_two_stream", "build_baseline"])
+    def test_training_pass_frees_each_block_after_its_backward(self, monkeypatch, build, bound):
+        """Each block's input-gradient columns overwrite its forward's, and its cache is
+        freed before the next block's backward allocates (bound in MiB)."""
+        monkeypatch.setenv("MSML_THREADS", "1")
+        rng = np.random.default_rng(12)
+        m = build(ModelConfig(), seed=2)
+        batch = rng.normal(size=(16, 1, 28, 28))
+        grads = {head: rng.normal(size=(16, m.cfg.num_classes)) for head in m.heads}
+
+        def training_pass():
+            m.backward(m.forward(batch, training=True, seed=3).tape, grads)
+
+        training_pass()  # warm numpy's and BLAS's buffers
+        training_pass()
+        with peak_memory() as peak:
+            training_pass()
+        assert peak[0] < bound * 2**20
 
     def test_models_share_one_base(self):
         for build, heads in ((TwoStreamModel, ("ce", "msml", "fce")), (BaselineModel, ("ce",))):
