@@ -84,7 +84,9 @@ class ExperimentConfig:
 
 
 def load_folds(data_dir, names=None):
-    """The named folds (all by default), normalized with train-fold statistics."""
+    """The named folds (all by default) as float32 pixels, each carrying the
+    train fold's per-channel mean and scale. The train fold is float64 only
+    inside ``channel_stats``, while the statistics are taken."""
     data_dir = Path(data_dir)
     data = ds.load(data_dir)
     folds_idx = ds.load_splits(data_dir / "splits.json", len(data))
@@ -96,10 +98,10 @@ def load_folds(data_dir, names=None):
     pixels = {name: data.images[folds_idx[name]] for name in ("train", *names)}  # float32, each fold once
     class_names = data.class_names
     # Only the folds' gathers are needed from here on: drop the dataset's
-    # pixels before normalize makes its float64 arrays.
+    # pixels before channel_stats makes its float64 copy of the train fold.
     del data
-    normed = ds.normalize({name: pixels[name] for name in names}, pixels["train"])
-    return {name: FoldData(normed[name], labels[name]) for name in names}, class_names
+    mean, scale = ds.channel_stats(pixels["train"])
+    return {name: FoldData(pixels[name], labels[name], mean, scale) for name in names}, class_names
 
 
 # ---------------------------------------------------------------------------

@@ -212,36 +212,24 @@ def split(group_ids, seed: int):
 # ---------------------------------------------------------------------------
 
 def channel_stats(images):
-    """Per-channel mean and std over samples and space, in float64.
+    """Per-channel (mean, scale) over samples and space, in float64: the
+    statistics a fold is standardized with. The scale is the std floored at
+    1e-6, so a constant channel standardizes to zeros.
 
     The bits are those of ``x.mean(axis=(0, 2, 3))`` and ``x.std(axis=(0, 2, 3))``
     for ``x`` the images as float64. The std is computed in numpy's own order
     (subtract the mean, square, sum, divide, sqrt), in place on one float64
     copy, so ``images`` is left unchanged and no second temporary is made.
     """
+    if len(images) == 0:
+        raise DataError("channel_stats: the train fold is empty")
     x = np.array(images, dtype=FLOAT)  # a copy, even of a float64 array
     axes = (0, 2, 3)
     mean = x.mean(axis=axes)
     x -= mean[None, :, None, None]
     np.multiply(x, x, out=x)
     std = np.sqrt(x.sum(axis=axes) / (x.size // x.shape[1]))
-    return mean, std
-
-
-def normalize(images_by_fold: dict, train_images):
-    """Standardize each fold of the dict with the per-channel statistics of
-    ``train_images``: one new float64 array per fold, standardized in place.
-    The arguments are left unchanged."""
-    if len(train_images) == 0:
-        raise DataError("normalize: the train fold is empty")
-    mean, std = channel_stats(train_images)
-    denom = np.maximum(std, 1e-6)
-    out = {}
-    for name, imgs in images_by_fold.items():
-        x = out[name] = np.array(imgs, dtype=FLOAT)
-        x -= mean[None, :, None, None]
-        x /= denom[None, :, None, None]
-    return out
+    return mean, np.maximum(std, 1e-6)
 
 
 def crop_batch(images, out_size, training, rng=None):

@@ -20,7 +20,7 @@ import os
 import re
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -107,8 +107,11 @@ def worker_pool():
     It is built on first use with ``MSML_THREADS`` workers (default: the CPUs
     the process may run on) and lives as long as the process. Training runs
     one stream of a two-stream pass, or the first half of a baseline batch,
-    on it, and ``score_fold`` its batches; a task on the pool never submits
-    to it, so no task waits for a free worker.
+    on it while the caller runs the other; ``score_fold`` runs all but the
+    caller's share of its batches on it, one share per worker at most. A
+    task on the pool never submits to it, so no task waits for a free
+    worker, and at two workers scoring starts no thread that training did
+    not.
     """
     global _pool
     workers = _num_threads()
@@ -120,27 +123,28 @@ def worker_pool():
     return _pool
 
 
-def _both(pool, task_a, task_b):
-    """(task_a(), task_b()), with task_a on ``pool`` (or here, if None) while task_b runs here.
-    Returns, or raises, only once both have finished. The tasks must write no memory in
-    common, so a backbone backward returns its gradients for the caller to add."""
+def _spread(pool, tasks):
+    """[task() for task in tasks], with every task but the last on ``pool`` while the last runs
+    here (all here, in order, if pool is None). Returns, or raises, only once every task has
+    finished. The tasks must write no memory in common, so a backbone backward returns its
+    gradients for the caller to add."""
     if pool is None:
-        return task_a(), task_b()
-    future = pool.submit(task_a)
+        return [task() for task in tasks]
+    futures = [pool.submit(task) for task in tasks[:-1]]
     try:
-        result_b = task_b()
+        last = tasks[-1]()
     finally:
-        result_a = future.result()
-    return result_a, result_b
+        wait(futures)
+    return [future.result() for future in futures] + [last]
 
 
 def _halves(pool, n, task):
     """[task(rows, i)] over the row slices of an n-row batch: the halves [:n // 2] and [n // 2:],
-    run by ``_both`` with the first on ``pool``, or all rows, run here, when n is 1."""
+    run by ``_spread`` with the first on ``pool``, or all rows, run here, when n is 1."""
     if n < 2:
         return [task(slice(None), 0)]
     cut = n // 2
-    return _both(pool, lambda: task(slice(cut), 0), lambda: task(slice(cut, None), 1))
+    return _spread(pool, [lambda: task(slice(cut), 0), lambda: task(slice(cut, None), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +336,10 @@ class TwoStreamModel(Model):
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         batch = _check_batch(batch, self.cfg)
-        # Eval-mode passes run inline: score_fold already runs them on the pool.
-        (fa, tape_a), (fb, tape_b) = _both(
+        # Eval-mode passes run inline: score_fold already spreads them over the caller and the pool.
+        (fa, tape_a), (fb, tape_b) = _spread(
             worker_pool() if training else None,
-            lambda: self.stream_a.forward(batch, training), lambda: self.stream_b.forward(batch, training),
+            [lambda: self.stream_a.forward(batch, training), lambda: self.stream_b.forward(batch, training)],
         )
         ce, ce_cache = self.head_ce.forward(fa, training, [seed, 0])
         ms, msml_cache = self.head_msml.forward(fb, training, [seed, 1])
@@ -363,8 +367,8 @@ class TwoStreamModel(Model):
             g_fa, g_fb = bl.bilinear_features_backward(du, feat_cache)
             d_fa += g_fa
             d_fb += g_fb
-        grads_a, grads_b = _both(worker_pool(), lambda: self.stream_a.backward(d_fa, tape_a),
-                                 lambda: self.stream_b.backward(d_fb, tape_b))
+        grads_a, grads_b = _spread(worker_pool(), [lambda: self.stream_a.backward(d_fa, tape_a),
+                                                   lambda: self.stream_b.backward(d_fb, tape_b)])
         self.stream_a.accumulate(grads_a)
         self.stream_b.accumulate(grads_b)
 
@@ -385,7 +389,7 @@ class BaselineModel(Model):
 
     def forward(self, batch, training=False, seed=0) -> ForwardPass:
         """The backbone runs the batch's halves side by side, the first on the pool in training;
-        eval passes, which score_fold runs on the pool, split alike but run both halves here,
+        eval passes, which score_fold spreads over the threads, split alike but run both halves here,
         so they round as training does. The head runs once on the joined feature maps."""
         batch = _check_batch(batch, self.cfg)
         parts = _halves(worker_pool() if training else None, len(batch),

@@ -29,11 +29,12 @@ from .dataset import crop_batch
 from .errors import ConfigError, DataError, NumericalError, UndefinedMetricError
 from .losses import LossWeights, msml_batch, sigmoid_bce_batch
 from .metrics import ScoreMatrix, macro_auc
-from .model import Adam, lr_schedule, predict, worker_pool
+from .model import Adam, _spread, lr_schedule, predict, worker_pool
 
 STRATEGIES = ("global", "local", "local_fixed")
 
-# Samples per forward pass when scoring a fold. Each worker holds one batch's
+# Samples per forward pass when scoring a fold. Each scoring thread (the caller
+# and each busy pool worker) holds one batch's standardized copy and its
 # temporaries, and block 2's column matrix alone is 144 x (batch * 196)
 # doubles: 3.6 MB at 16, 14.5 MB at 64. BLAS may round a GEMM's last bit
 # differently at another row count, so every batch is run at this size.
@@ -59,13 +60,25 @@ HISTORY_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
 @dataclass
 class FoldData:
-    """One fold's normalized images (N, ch, H, W) and int8 0/1 labels (N, C)."""
+    """One fold's images (N, ch, H, W) as stored, float32 from a dataset, its
+    int8 0/1 labels (N, C), and the train fold's per-channel ``mean`` and
+    ``scale``, which ``standardized`` applies to each batch as it is drawn.
+    The defaults keep every value's bits, for a fold standardized already."""
 
     images: np.ndarray
     labels: np.ndarray
+    mean: np.ndarray | float = 0.0
+    scale: np.ndarray | float = 1.0
 
     def __len__(self):
         return self.images.shape[0]
+
+    def standardized(self, images):
+        """A float64 copy of ``images`` (N, ch, h, w), minus ``mean`` and over ``scale`` per channel."""
+        x = np.array(images, dtype=np.float64)
+        x -= np.reshape(self.mean, (-1, 1, 1))
+        x /= np.reshape(self.scale, (-1, 1, 1))
+        return x
 
 
 def _phases(strategy, epochs, model, weights):
@@ -117,7 +130,8 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
             steps = 0
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                xb = crop_batch(train_fold.images[idx], model.cfg.input_size, training=True, rng=rng)
+                xb = train_fold.standardized(crop_batch(train_fold.images[idx], model.cfg.input_size,
+                                                        training=True, rng=rng))
                 out = model.forward(xb, training=True, seed=int(rng.integers(2**31)))
                 losses, grads = _losses_and_grads(out, train_fold.labels[idx], head_weights)
                 if not all(np.isfinite(v) for v in losses.values()):
@@ -145,11 +159,14 @@ def train(model, train_fold: FoldData, val_fold: FoldData, *, strategy="global",
 def score_fold(model, fold: FoldData):
     """Eval-mode probabilities per head over a whole fold.
 
-    Batches are pure forward passes, so they run on the worker pool (none
-    with MSML_THREADS=1); results are merged in batch order and are identical
-    at any thread count. The last batch is padded to SCORE_BATCH rows with
-    repeats of the fold's last sample, whose scores are dropped, so a sample's
-    scores do not depend on the length of its fold or its place in it.
+    Batches are pure forward passes, cut into one contiguous share per pool
+    worker (one with MSML_THREADS=1, never more than there are batches). This
+    thread scores the last share while the pool scores the rest, so scoring
+    runs on the threads training runs; each task standardizes its batches one
+    at a time. Results are merged in batch order and are identical at any
+    thread count. The last batch is padded to SCORE_BATCH rows with repeats
+    of the fold's last sample, whose scores are dropped, so a sample's scores
+    do not depend on the length of its fold or its place in it.
     """
     n = len(fold)
     if n == 0:
@@ -159,9 +176,12 @@ def score_fold(model, fold: FoldData):
     if n % SCORE_BATCH:
         batches[-1] = np.concatenate([batches[-1], np.repeat(xb[-1:], -n % SCORE_BATCH, axis=0)])
 
-    def run(batch):
-        return predict(model, batch)
+    def run(share):
+        return lambda: [predict(model, fold.standardized(batch)) for batch in share]
 
     pool = worker_pool()
-    results = list(pool.map(run, batches)) if pool is not None else [run(b) for b in batches]
+    k = 1 if pool is None else min(pool._max_workers, len(batches))
+    cuts = [len(batches) * i // k for i in range(k + 1)]
+    shares = [run(batches[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    results = [r for share in _spread(pool, shares) for r in share]
     return {head: np.concatenate([r[head] for r in results])[:n] for head in model.heads}

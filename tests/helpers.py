@@ -6,7 +6,8 @@ loops over the defining sum or maximum, and the MSML oracle loops over the
 samples of a batch. The convolution and max-pool oracles take any stride,
 padding or window, while the library runs only the shapes the model uses.
 ``peak_memory`` measures what a block allocates, for the memory bounds,
-``sigmoid_bce`` and ``msml`` are the library's batch losses on one sample, and
+``sigmoid_bce`` and ``msml`` are the library's batch losses on one sample,
+``normalize`` standardizes whole folds with the train fold's statistics, and
 ``bias_gradients`` makes the gradient checks see a wrong backward pass.
 """
 
@@ -32,6 +33,21 @@ def sigmoid_bce(logits, labels):
 def msml(logits, labels):
     """One sample's multi-label softmax loss and its gradient."""
     return _one_sample(msml_batch, logits, labels)
+
+
+def normalize(images_by_fold, train_images):
+    """Each fold of the dict as one float64 array, standardized with numpy's
+    per-channel mean and std (floored at 1e-6) of ``train_images``: the
+    arithmetic a fold's batches get, applied to whole folds at once."""
+    train = np.asarray(train_images, dtype=np.float64)
+    mean = train.mean(axis=(0, 2, 3))
+    denom = np.maximum(train.std(axis=(0, 2, 3)), 1e-6)
+    out = {}
+    for name, imgs in images_by_fold.items():
+        x = out[name] = np.array(imgs, dtype=np.float64)
+        x -= mean[None, :, None, None]
+        x /= denom[None, :, None, None]
+    return out
 
 
 @contextlib.contextmanager

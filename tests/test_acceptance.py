@@ -45,9 +45,9 @@ def default_data():
     data = ds.generate(spec)
     folds_idx = ds.split(data.group_ids, spec.seed)
     images = {k: data.images[v] for k, v in folds_idx.items()}
-    normed = ds.normalize(images, images["train"])
+    mean, scale = ds.channel_stats(images["train"])
     folds = {
-        k: FoldData(normed[k], data.labels[folds_idx[k]].astype(np.float64))
+        k: FoldData(images[k], data.labels[folds_idx[k]].astype(np.float64), mean, scale)
         for k in folds_idx
     }
     return {"spec": spec, "data": data, "folds_idx": folds_idx, "folds": folds}

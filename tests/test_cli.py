@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import bias_gradients, peak_memory
+from helpers import bias_gradients, normalize, peak_memory
 from msml import dataset as ds
 from msml.cli import ExperimentConfig, main
 from msml.errors import ConfigError
@@ -368,6 +368,15 @@ class TestEval:
         assert same_names == names
         np.testing.assert_array_equal(only["test"].images, every["test"].images)
         np.testing.assert_array_equal(only["test"].labels, every["test"].labels)
+
+    def test_folds_stay_float32_and_standardize_as_whole_folds_did(self, data_dir):
+        folds, _ = cli_mod.load_folds(data_dir)
+        data = ds.load(data_dir)
+        idx = ds.load_splits(data_dir / "splits.json", len(data))
+        normed = normalize({name: data.images[i] for name, i in idx.items()}, data.images[idx["train"]])
+        for name, fold in folds.items():
+            assert fold.images.dtype == np.float32
+            assert np.array_equal(fold.standardized(fold.images), normed[name]), name
 
     def test_labels_stay_int8(self, data_dir):
         folds, _ = cli_mod.load_folds(data_dir)

@@ -11,6 +11,7 @@ import pytest
 from helpers import peak_memory
 from msml import dataset as ds
 from msml.errors import ConfigError, DataError, DimensionError, FormatError
+from msml.train import FoldData
 
 
 def small_spec(**kw):
@@ -266,11 +267,16 @@ class TestSplit:
 
 
 class TestNormalize:
+    @staticmethod
+    def standardized_folds(images):
+        mean, scale = ds.channel_stats(images["train"])
+        return {k: FoldData(v, np.zeros((len(v), 1)), mean, scale).standardized(v) for k, v in images.items()}
+
     def test_train_fold_standardized(self):
         data = ds.generate(small_spec())
         folds = ds.split(data.group_ids, 2)
         images = {k: data.images[v] for k, v in folds.items()}
-        normed = ds.normalize(images, images["train"])
+        normed = self.standardized_folds(images)
         post_mean, post_std = ds.channel_stats(normed["train"])
         assert np.abs(post_mean).max() < 1e-10
         np.testing.assert_allclose(post_std, 1.0, atol=1e-6)
@@ -279,7 +285,7 @@ class TestNormalize:
         data = ds.generate(small_spec())
         folds = ds.split(data.group_ids, 2)
         images = {k: data.images[v] for k, v in folds.items()}
-        normed = ds.normalize(images, images["train"])
+        normed = self.standardized_folds(images)
         mean, std = ds.channel_stats(images["train"])
         expected = (images["test"].astype(np.float64) - mean[None, :, None, None]) / std[None, :, None, None]
         np.testing.assert_allclose(normed["test"], expected, atol=1e-12)
@@ -288,13 +294,13 @@ class TestNormalize:
 
     def test_constant_channel_maps_to_zeros(self):
         images = {"train": np.full((5, 1, 4, 4), 0.3, dtype=np.float32)}
-        normed = ds.normalize(images, images["train"])
+        normed = self.standardized_folds(images)
         np.testing.assert_array_equal(normed["train"], np.zeros((5, 1, 4, 4)))
         assert np.isfinite(normed["train"]).all()
 
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
-            ds.normalize({"train": np.zeros((0, 1, 4, 4))}, np.zeros((0, 1, 4, 4)))
+            ds.channel_stats(np.zeros((0, 1, 4, 4)))
 
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

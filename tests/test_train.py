@@ -4,13 +4,15 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import msml
-from helpers import peak_memory
+from helpers import normalize, peak_memory
 from msml import dataset as ds
 from msml.errors import ConfigError, DataError, NumericalError
 from msml.losses import LossWeights
@@ -26,7 +28,8 @@ CFG = ModelConfig(
 
 
 @pytest.fixture(scope="module")
-def folds():
+def pixel_folds():
+    """The folds as float32 pixels, each carrying the train fold's statistics."""
     spec = ds.GeneratorSpec(
         num_classes=4, num_samples=120, num_groups=12, image_size=(18, 18),
         class_prevalence=(0.4, 0.3, 0.25, 0.2), cooccurrence_pairs=(),
@@ -34,9 +37,15 @@ def folds():
     )
     data = ds.generate(spec)
     idx = ds.split(data.group_ids, 77)
-    images = {k: data.images[v] for k, v in idx.items()}
-    normed = ds.normalize(images, images["train"])
-    return {k: FoldData(normed[k], data.labels[idx[k]].astype(np.float64)) for k in idx}
+    mean, scale = ds.channel_stats(data.images[idx["train"]])
+    return {k: FoldData(data.images[v], data.labels[v].astype(np.float64), mean, scale) for k, v in idx.items()}
+
+
+@pytest.fixture(scope="module")
+def folds(pixel_folds):
+    """The same folds standardized whole, so a part of one is standardized too."""
+    normed = normalize({k: f.images for k, f in pixel_folds.items()}, pixel_folds["train"].images)
+    return {k: FoldData(normed[k], f.labels) for k, f in pixel_folds.items()}
 
 
 def snapshot(model, names=None):
@@ -82,6 +91,86 @@ class TestSmoke:
         assert history[0].alpha_msml == 0.0
         assert history[0].beta_fce == 0.0
         assert history[0].alpha_ce > 0.0
+
+
+class TestStandardizedBatches:
+    def test_float32_fold_with_statistics_trains_as_the_normalized_fold(self, pixel_folds, folds):
+        assert pixel_folds["train"].images.dtype == np.float32
+
+        def run(fold_set):
+            model = TwoStreamModel(CFG, seed=5)
+            history = train(model, fold_set["train"], fold_set["val"], epochs=1, seed=5)
+            return [h.row() for h in history], model.slab.values.tobytes(), score_fold(model, fold_set["test"])
+
+        (rows_a, values_a, scores_a), (rows_b, values_b, scores_b) = run(pixel_folds), run(folds)
+        assert rows_a == rows_b and values_a == values_b
+        for head in scores_a:
+            assert np.array_equal(scores_a[head], scores_b[head])
+
+
+@pytest.fixture
+def new_pool(monkeypatch):
+    """Sets MSML_THREADS to the given count and drops the process's pool, so that
+    its next use builds a new pool of that size, whatever pool ran before."""
+    def of(workers):
+        monkeypatch.setenv("MSML_THREADS", str(workers))
+        monkeypatch.setattr(msml.model, "_pool", None)
+
+    yield of
+    if msml.model._pool is not None:
+        msml.model._pool.shutdown()
+
+
+class TestScoringThreads:
+    def test_scoring_runs_on_the_caller_and_the_one_worker_training_started(self, folds, monkeypatch, new_pool):
+        new_pool(2)
+        model = TwoStreamModel(CFG, seed=14)
+        one_step = FoldData(folds["train"].images[:8], folds["train"].labels[:8])
+        idents = set()
+        real_predict = msml.train.predict
+
+        def record(model, batch):
+            idents.add(threading.get_ident())
+            return real_predict(model, batch)
+
+        monkeypatch.setattr(msml.train, "predict", record)
+        train(model, one_step, folds["train"], epochs=1, batch_size=8, seed=14)  # validates on several batches
+        assert len(folds["train"]) > 2 * msml.train.SCORE_BATCH
+        assert threading.get_ident() in idents
+        assert len(idents) == 2
+
+    def test_a_failing_share_raises_once_every_share_has_finished(self, folds, monkeypatch, new_pool):
+        new_pool(2)
+        model = TwoStreamModel(CFG, seed=15)
+        caller, finished = threading.get_ident(), []
+        real_predict = msml.train.predict
+
+        def fail_here(model, batch):
+            if threading.get_ident() == caller:
+                raise ValueError("the caller's share failed")
+            time.sleep(0.01)
+            finished.append(real_predict(model, batch))
+            return finished[-1]
+
+        monkeypatch.setattr(msml.train, "predict", fail_here)
+        batches = -(-len(folds["train"]) // msml.train.SCORE_BATCH)
+        with pytest.raises(ValueError, match="caller's share"):
+            score_fold(model, folds["train"])
+        assert len(finished) == batches // 2  # the pool's share, every batch of it
+
+    def test_more_shares_than_cores_score_as_one_thread_does(self, folds, monkeypatch, new_pool):
+        model = TwoStreamModel(CFG, seed=16)
+        new_pool(1)
+        one = score_fold(model, folds["train"])
+        new_pool(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many more thread switches inside each share
+        try:
+            four = score_fold(model, folds["train"])
+        finally:
+            sys.setswitchinterval(interval)
+        for head in one:
+            assert np.array_equal(one[head], four[head])
 
 
 class TestNonSquareInput:
