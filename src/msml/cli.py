@@ -83,25 +83,16 @@ class ExperimentConfig:
         return LossWeights(self.alpha, self.beta)
 
 
-def load_folds(data_dir, names=None):
-    """The named folds (all by default) as float32 pixels, each carrying the
-    train fold's per-channel mean and scale. The train fold is float64 only
-    inside ``channel_stats``, while the statistics are taken."""
-    data_dir = Path(data_dir)
-    data = ds.load(data_dir)
-    folds_idx = ds.load_splits(data_dir / "splits.json", len(data))
-    names = tuple(folds_idx) if names is None else names
-    for name in ("train", *names):
-        if name not in folds_idx:
-            raise DataError(f"{data_dir / 'splits.json'} has no fold {name!r}")
-    labels = {name: data.labels[folds_idx[name]] for name in names}
-    pixels = {name: data.images[folds_idx[name]] for name in ("train", *names)}  # float32, each fold once
-    class_names = data.class_names
-    # Only the folds' gathers are needed from here on: drop the dataset's
-    # pixels before channel_stats makes its float64 copy of the train fold.
-    del data
-    mean, scale = ds.channel_stats(pixels["train"])
-    return {name: FoldData(pixels[name], labels[name], mean, scale) for name in names}, class_names
+def load_folds(data_dir, names=("train", "val", "test")):
+    """The named folds as float32 pixels, each carrying the train fold's mean and
+    scale. Two ``ds.load`` passes, so the dataset is never held whole: the train
+    fold as float64, overwritten by ``channel_stats`` and freed; the named folds."""
+    train = ds.load(data_dir, ("train",), ds.FLOAT)["train"]
+    mean, scale = ds.channel_stats(train.images, overwrite_input=True)
+    class_names = train.class_names
+    del train
+    kept = ds.load(data_dir, names)
+    return {name: FoldData(fold.images, fold.labels, mean, scale) for name, fold in kept.items()}, class_names
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ MAGIC = b"MSMD0001"
 BACKGROUND_LEVEL = 0.1
 TEMPLATE_AMPLITUDE = 0.4
 GENERATE_CHUNK = 256  # samples whose float64 pixels generate works on at once
+LOAD_CHUNK = 256  # rows of images.bin that load holds at once, as float32
 
 DEFAULT_PREVALENCES = (0.25, 0.174, 0.121, 0.085, 0.059, 0.041, 0.029, 0.02)
 
@@ -211,19 +212,20 @@ def split(group_ids, seed: int):
 # normalization and cropping
 # ---------------------------------------------------------------------------
 
-def channel_stats(images):
+def channel_stats(images, overwrite_input=False):
     """Per-channel (mean, scale) over samples and space, in float64: the
     statistics a fold is standardized with. The scale is the std floored at
     1e-6, so a constant channel standardizes to zeros.
 
     The bits are those of ``x.mean(axis=(0, 2, 3))`` and ``x.std(axis=(0, 2, 3))``
     for ``x`` the images as float64. The std is computed in numpy's own order
-    (subtract the mean, square, sum, divide, sqrt), in place on one float64
-    copy, so ``images`` is left unchanged and no second temporary is made.
+    (subtract the mean, square, sum, divide, sqrt) in place on one float64
+    array, so no second temporary is made: a copy, leaving ``images`` unchanged,
+    or with ``overwrite_input`` a float64 ``images`` itself, left garbled.
     """
     if len(images) == 0:
         raise DataError("channel_stats: the train fold is empty")
-    x = np.array(images, dtype=FLOAT)  # a copy, even of a float64 array
+    x = (np.asarray if overwrite_input else np.array)(images, dtype=FLOAT)
     axes = (0, 2, 3)
     mean = x.mean(axis=axes)
     x -= mean[None, :, None, None]
@@ -302,8 +304,13 @@ def save(dataset: Dataset, directory):
     write_atomic(directory / "labels.csv", buf.getvalue())
 
 
-def load(directory) -> Dataset:
-    """Read a dataset back; raises FormatError with a byte offset on corruption."""
+def load(directory, folds=None, dtype=np.float32):
+    """Read a dataset back; raises FormatError with a byte offset on corruption.
+
+    ``images.bin`` is read ``LOAD_CHUNK`` rows at a time, and every pixel of it
+    is checked finite. Without ``folds``: the Dataset of every row. ``folds``
+    names folds of ``splits.json``; the result is then a dict of name -> that
+    fold's Dataset, its rows in index order. The pixels come as ``dtype``."""
     directory = Path(directory)
     header_end = len(MAGIC) + 16
     with open(directory / "images.bin", "rb") as fh:
@@ -320,14 +327,25 @@ def load(directory) -> Dataset:
                 f"image payload has {size - header_end} bytes, expected {expected - header_end}",
                 offset=min(size, expected),
             )
-        images = np.empty((n, channels, h, w), dtype="<f4")
-        got = fh.readinto(images)  # straight into the array: the pixels are held once
-    if got != expected - header_end:  # the file shrank after fstat
-        raise FormatError(f"image payload has {got} bytes, expected {expected - header_end}",
-                          offset=header_end + got)
-    finite = np.isfinite(images)
-    if not finite.all():  # argmin finds the first False of the flattened array
-        raise FormatError("images.bin holds a NaN or an infinite pixel", offset=header_end + 4 * int(np.argmin(finite)))
+        names = (None,) if folds is None else folds
+        splits = {None: np.arange(n)} if folds is None else load_splits(directory / "splits.json", n)
+        if missing := [name for name in names if name not in splits]:
+            raise DataError(f"{directory / 'splits.json'} has no fold {missing[0]!r}")
+        wanted = {name: splits[name] for name in names}
+        images = {name: np.empty((len(idx), channels, h, w), dtype) for name, idx in wanted.items()}
+        chunk = np.empty((min(n, LOAD_CHUNK), channels, h, w), dtype="<f4")
+        for start in range(0, n, LOAD_CHUNK):
+            x = chunk[: n - start]
+            at = header_end + start * x[0].nbytes
+            if (got := fh.readinto(x)) != x.nbytes:  # the file shrank after fstat
+                raise FormatError(f"image payload has {at + got - header_end} bytes, expected {expected - header_end}",
+                                  offset=at + got)
+            finite = np.isfinite(x)
+            if not finite.all():  # argmin finds the first False of the flattened chunk
+                raise FormatError("images.bin holds a NaN or an infinite pixel", offset=at + 4 * int(np.argmin(finite)))
+            for name, idx in wanted.items():
+                here = (start <= idx) & (idx < start + len(x))  # the fold's rows in this chunk
+                images[name][here] = x[idx[here] - start]
 
     text = decode_utf8((directory / "labels.csv").read_bytes(), "labels.csv")
     try:
@@ -356,7 +374,8 @@ def load(directory) -> Dataset:
             labels[r] = values
         except (ValueError, IndexError) as exc:
             raise FormatError(f"labels.csv row {r + 2} malformed: {exc}") from exc
-    return Dataset(images, labels, group_ids, class_names)
+    datasets = {name: Dataset(images[name], labels[idx], group_ids[idx], class_names) for name, idx in wanted.items()}
+    return datasets[None] if folds is None else datasets
 
 
 def save_splits(folds: dict, path):

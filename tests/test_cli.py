@@ -382,13 +382,30 @@ class TestEval:
         folds, _ = cli_mod.load_folds(data_dir)
         assert {fold.labels.dtype for fold in folds.values()} == {np.dtype(np.int8)}
 
-    def test_scoring_a_split_holds_the_pixels_and_the_train_fold_once(self, tmp_path):
+    def test_folds_keep_their_index_order_across_load_chunks(self, tmp_path, monkeypatch):
+        data = ds.generate(ds.GeneratorSpec(num_samples=23, num_groups=5, image_size=(8, 8), channels=2, seed=4))
+        ds.save(data, tmp_path)
+        # out of order, each fold across chunk boundaries, row 18 in no fold; 23 rows make a part-chunk tail
+        idx = {"train": [22, 3, 17, 5, 4, 11, 0, 9, 20, 14, 6, 12], "val": [1, 21, 8], "test": [19, 2, 10, 7, 16, 13, 15]}
+        (tmp_path / "splits.json").write_text(json.dumps(idx))
+        monkeypatch.setattr(ds, "LOAD_CHUNK", 5)
+        folds, _ = cli_mod.load_folds(tmp_path)
+        for name, fold in folds.items():
+            assert fold.images.dtype == np.float32
+            np.testing.assert_array_equal(fold.images, data.images[idx[name]])
+            np.testing.assert_array_equal(fold.labels, data.labels[idx[name]])
+        mean, scale = ds.channel_stats(np.array(data.images[idx["train"]], np.float64))
+        for fold in folds.values():
+            assert (fold.mean.tobytes(), fold.scale.tobytes()) == (mean.tobytes(), scale.tobytes())
+
+    def test_scoring_a_split_holds_one_fold_and_one_chunk(self, tmp_path):
         data = ds.generate(ds.GeneratorSpec(num_samples=2000, seed=5))
         folds = ds.split(data.group_ids, 5)
         ds.save(data, tmp_path)
         ds.save_splits(folds, tmp_path / "splits.json")
-        # the float32 pixels, and the train fold as float64 for its statistics
-        bound = 1.25 * (data.images.nbytes + 2 * data.images[folds["train"]].nbytes)
+        # the train fold as float64 for its statistics, then the scored fold; beside either, one chunk of rows
+        largest = max(2 * data.images[folds["train"]].nbytes, data.images[folds["test"]].nbytes)
+        bound = 1.25 * largest + ds.LOAD_CHUNK * data.images[0].nbytes
         del data
         with peak_memory() as peak:
             cli_mod.load_folds(tmp_path, ("test",))
@@ -414,6 +431,23 @@ class TestEval:
                      "--data", str(copy), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "infinite pixel (at byte offset 424)" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_finite_pixel_in_an_unread_fold_past_the_first_chunk_exits_2(self, data_dir, trained_dir, tmp_path,
+                                                                               capsys, monkeypatch):
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        monkeypatch.setattr(ds, "LOAD_CHUNK", 16)
+        row = int(ds.load_splits(copy / "splits.json", 90)["val"].max())  # neither standardized nor scored
+        assert row >= ds.LOAD_CHUNK
+        offset = 24 + 4 * (row * 18 * 18 + 4 * 18 + 9)
+        blob = bytearray((copy / "images.bin").read_bytes())
+        struct.pack_into("<f", blob, offset, np.nan)
+        (copy / "images.bin").write_bytes(bytes(blob))
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--data", str(copy), "--split", "test", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"NaN or an infinite pixel (at byte offset {offset})" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_non_finite_checkpoint_exits_2(self, data_dir, trained_dir, tmp_path, capsys):

@@ -509,15 +509,31 @@ class TestStorage:
             ds.load(tmp_path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_pixel_names_its_offset(self, tmp_path, value):
+    def test_non_finite_pixel_names_its_offset(self, tmp_path, monkeypatch, value):
         data = ds.generate(small_spec(num_samples=10))
         data.images[3, 0, 5, 7] = value
         data.images[6, 0, 1, 2] = value  # only the first bad pixel is named
         ds.save(data, tmp_path)
-        with pytest.raises(FormatError, match="NaN or an infinite pixel") as err:
-            ds.load(tmp_path)
         flat = np.ravel_multi_index((3, 0, 5, 7), data.images.shape)
-        assert err.value.offset == 24 + 4 * flat
+        # both bad rows in one chunk; then row 3 in the second chunk and row 6 in a later one, with a part-chunk tail at 3
+        for rows in (ds.LOAD_CHUNK, 2, 3):
+            monkeypatch.setattr(ds, "LOAD_CHUNK", rows)
+            with pytest.raises(FormatError, match="NaN or an infinite pixel") as err:
+                ds.load(tmp_path)
+            assert err.value.offset == 24 + 4 * flat
+
+    @pytest.mark.parametrize("rows", [ds.LOAD_CHUNK, 3])
+    def test_file_shrinking_after_fstat_names_where_its_bytes_ran_out(self, tmp_path, monkeypatch, rows):
+        ds.save(ds.generate(small_spec(num_samples=10)), tmp_path)
+        path = tmp_path / "images.bin"
+        full = path.stat()
+        cut = 24 + 4 * (7 * 32 * 32 + 100)  # inside row 7: in the only chunk, or the third of four
+        os.truncate(path, cut)
+        monkeypatch.setattr(ds, "LOAD_CHUNK", rows)
+        monkeypatch.setattr(ds.os, "fstat", lambda fd: full)  # fstat still sees the whole file
+        with pytest.raises(FormatError, match=f"image payload has {cut - 24} bytes, expected {full.st_size - 24}") as err:
+            ds.load(tmp_path)
+        assert err.value.offset == cut
 
     def test_ungrouped_splits_load(self, tmp_path):
         # a split made elsewhere may put a group in several folds; loading accepts that

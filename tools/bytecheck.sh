@@ -1,5 +1,5 @@
 #!/bin/sh
-# usage: bytecheck.sh SRC_TREE OUT_DIR -- two gen-data (noisy; noiseless with a part-chunk tail), five trains (every strategy, and the baseline on the pool and on one thread), six evals (every head, and the fce head on one and on three threads); sha256 of every output
+# usage: bytecheck.sh SRC_TREE OUT_DIR -- two gen-data (noisy; noiseless with a part-chunk tail), five trains (every strategy, and the baseline on the pool and on one thread), seven evals (every head, the fce head on one and on three threads, and the fce head on the train split); sha256 of every output
 # Every command runs inside OUT_DIR on relative paths, so no output (resolved_config.txt names the dataset and
 # out_dir) depends on where OUT_DIR is, and two trees hashed into different directories can be compared.
 set -e
@@ -25,6 +25,8 @@ msml eval --checkpoint run_two_stream_global/model.ckpt --data data --head fce -
 MSML_THREADS=1 msml eval --checkpoint run_two_stream_global/model.ckpt --data data --head fce --out eval_fce_1thread/report.json
 # nor on a pool of three, which cuts the batches into three shares: this report must hash like eval_fce's too
 MSML_THREADS=3 msml eval --checkpoint run_two_stream_global/model.ckpt --data data --head fce --out eval_fce_3threads/report.json
+# the train split is read in both of load_folds' passes: standardized as float64, then scored as float32
+msml eval --checkpoint run_two_stream_global/model.ckpt --data data --split train --head fce --out eval_fce_train/report.json
 msml eval --checkpoint run_two_stream_global/model.ckpt --data data --head msml --out eval_msml/report.json
 msml eval --checkpoint run_two_stream_global/model.ckpt --data data --head fused --out eval_fused/report.json
 msml eval --checkpoint run_baseline_global/model.ckpt --data data --head ce --out eval_ce/report.json
